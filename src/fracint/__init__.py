@@ -1,10 +1,11 @@
-"""Riemann-Liouville fractional integrals by four mutually verifying routes.
+"""Riemann-Liouville fractional integrals by four named routes on two numerical cores.
 
 The core objects are the gamma function, the monotone transform pair that
-removes the kernel singularity, four quadrature routes that must agree, the
-operator abstraction with its closed-form power oracle and composition law,
-and the strip geometry that makes the integral's area interpretation
-computable.
+removes the kernel singularity, the bounded adaptive core (routes ``direct``
+and ``transformed``) and the strip-sum core (routes ``stieltjes`` and
+``cavalieri``), the operator abstraction with its closed-form power oracle
+and composition law, and the strip geometry that makes the integral's area
+interpretation computable.
 """
 
 from .errors import (

@@ -1,15 +1,20 @@
-"""Four numerical routes to the order-alpha integral, plus integer-order forms.
+"""Four named routes to the order-alpha integral on two cores, plus integer-order forms.
 
 Routes
 ------
 direct       adaptive quadrature of the kernel form; the substitution
              u = (t - tau)**alpha removes the endpoint singularity exactly
+transformed  adaptive quadrature of the bounded form f(h(x)) on [0, g(t)]
 stieltjes    left-endpoint sum against the integrator g
 cavalieri    left-endpoint strip sum, equal widths on the transformed axis
-transformed  adaptive quadrature of the bounded form f(h(x)) on [0, g(t)]
 
-All four converge to the same value; they are kept separate so they can
-cross-check one another.
+``direct`` and ``transformed`` are one bounded integral: u = t**alpha -
+Gamma(alpha+1) x mirrors and rescales the transformed axis, so both run the
+adaptive core.  ``stieltjes`` and ``cavalieri`` are one sum, because
+g(h(x)) = x makes every integrator increment a strip width, so both run the
+strip-sum core.  ``compare`` therefore checks the adaptive core against the
+strip sum; ``direct_rl(..., substitute=False)`` keeps the raw kernel form as
+an independent cross-check.
 """
 
 import math
@@ -18,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NumericalError
 from .gamma import recip_gamma
 from .integrand import Integrand, evaluate
 from .quadrature import (
@@ -90,6 +95,37 @@ def make_partition(pair: TransformPair, n: int, spacing: str = SPACING_TRANSFORM
     return Partition(transformed=x1, tau=x2)
 
 
+def _adaptive_core(f, alpha, t, budget, abs_tol, rel_tol, method) -> QuadratureResult:
+    """int_0^{g(t)} f(h(x)) dx as (1/Gamma(alpha+1)) int_0^{t**alpha} f(t - u**(1/alpha)) du."""
+    scale = recip_gamma(alpha + 1.0)  # 1 / (alpha * Gamma(alpha))
+
+    def bounded(u):
+        tau = np.clip(t - np.asarray(u, dtype=float) ** (1.0 / alpha), 0.0, t)
+        return evaluate(f, tau)
+
+    raw, err, evals = adaptive_quadrature(bounded, 0.0, t**alpha, abs_tol, rel_tol, budget)
+    return QuadratureResult(scale * raw, scale * err, method, evals)
+
+
+def _strip_sum(f, pair, n, spacing, method) -> QuadratureResult:
+    """Left-endpoint strip sum: sum f(h(x1_i)) * (x1_{i+1} - x1_i).
+
+    The error estimate compares it with the sum over every second point
+    (plus the right end when n is odd).
+    """
+    part = make_partition(pair, n, spacing)
+    x1 = part.transformed
+    heights = np.atleast_1d(np.asarray(evaluate(f, part.tau[:-1])))
+    value = float(np.dot(heights, np.diff(x1)))
+    if len(heights) > 1:
+        err = abs(value - float(np.dot(heights[::2], np.diff(np.append(x1[:-1:2], x1[-1])))))
+    else:
+        err = abs(value)
+    if not (np.isfinite(value) and np.isfinite(err)):
+        raise NumericalError(f"non-finite strip sum over {n} strips")
+    return QuadratureResult(value, err, method, int(n), n=int(n))
+
+
 def direct_rl(
     f: Integrand,
     alpha: float,
@@ -103,49 +139,29 @@ def direct_rl(
 
     With ``substitute`` (default) the change of variable u = (t - tau)**alpha
     turns the weighted measure into du / (alpha * Gamma(alpha)) and leaves a
-    bounded integrand.  ``substitute=False`` integrates the raw form, which the
-    interior-node rule tolerates; it is kept as a slower cross-check.
+    bounded integrand: the adaptive core.  ``substitute=False`` integrates the
+    raw form, which the interior-node rule tolerates; it is kept as a slower
+    cross-check.
     """
     alpha = validate_order(alpha)
     t = validate_horizon(t)
     if budget < 64:
         raise DomainError(f"direct route needs a budget of at least 64, got {budget}")
-
     if substitute:
-        scale = recip_gamma(alpha + 1.0)  # 1 / (alpha * Gamma(alpha))
+        return _adaptive_core(f, alpha, t, budget, abs_tol, rel_tol, "direct")
 
-        def bounded(u):
-            tau = np.clip(t - np.asarray(u, dtype=float) ** (1.0 / alpha), 0.0, t)
-            return evaluate(f, tau)
+    def kernel(tau):
+        arr = np.asarray(tau, dtype=float)
+        diff = t - arr
+        vals = np.asarray(evaluate(f, arr))
+        # node rounding can land exactly on t; the point has measure zero
+        with np.errstate(divide="ignore", over="ignore"):
+            weight = np.where(diff > 0.0, diff, 1.0) ** (alpha - 1.0)
+        return np.where(diff > 0.0, weight * vals, 0.0)
 
-        raw, err, evals = adaptive_quadrature(bounded, 0.0, t**alpha, abs_tol, rel_tol, budget)
-    else:
-        scale = recip_gamma(alpha)
-
-        def kernel(tau):
-            arr = np.asarray(tau, dtype=float)
-            diff = t - arr
-            vals = np.asarray(evaluate(f, arr))
-            # node rounding can land exactly on t; the point has measure zero
-            with np.errstate(divide="ignore", over="ignore"):
-                weight = np.where(diff > 0.0, diff, 1.0) ** (alpha - 1.0)
-            return np.where(diff > 0.0, weight * vals, 0.0)
-
-        raw, err, evals = adaptive_quadrature(kernel, 0.0, t, abs_tol, rel_tol, budget)
-
+    scale = recip_gamma(alpha)
+    raw, err, evals = adaptive_quadrature(kernel, 0.0, t, abs_tol, rel_tol, budget)
     return QuadratureResult(scale * raw, scale * err, "direct", evals)
-
-
-def _left_sum(heights: np.ndarray, increments: np.ndarray) -> float:
-    return float(np.dot(heights, increments))
-
-
-def _coarse_estimate(heights: np.ndarray, points: np.ndarray, value: float) -> float:
-    # error estimate by comparison with the stride-2 sub-partition
-    if len(heights) < 2:
-        return abs(value)
-    coarse = float(np.dot(heights[::2], np.diff(points[::2])))
-    return abs(value - coarse)
 
 
 def stieltjes_sum(
@@ -154,13 +170,11 @@ def stieltjes_sum(
     n: int,
     spacing: str = SPACING_TRANSFORMED,
 ) -> QuadratureResult:
-    """Left-endpoint sum of f against the integrator: sum f(x2_i) * (g(x2_{i+1}) - g(x2_i))."""
-    part = make_partition(pair, n, spacing)
-    g_values = pair.forward(part.tau)
-    heights = np.atleast_1d(np.asarray(evaluate(f, part.tau[:-1])))
-    value = _left_sum(heights, np.diff(g_values))
-    err = _coarse_estimate(heights, g_values, value)
-    return QuadratureResult(value, err, "stieltjes", int(n), n=int(n))
+    """Left-endpoint sum of f against the integrator: sum f(x2_i) * (g(x2_{i+1}) - g(x2_i)).
+
+    g(x2_i) is the transformed-axis point x1_i, so this is the strip sum.
+    """
+    return _strip_sum(f, pair, n, spacing, "stieltjes")
 
 
 def cavalieri_sum(
@@ -170,11 +184,7 @@ def cavalieri_sum(
     spacing: str = SPACING_TRANSFORMED,
 ) -> QuadratureResult:
     """Equal-width strip sum on the transformed axis: sum f(h(x1_i)) * dx1."""
-    part = make_partition(pair, n, spacing)
-    heights = np.atleast_1d(np.asarray(evaluate(f, part.tau[:-1])))
-    value = _left_sum(heights, np.diff(part.transformed))
-    err = _coarse_estimate(heights, part.transformed, value)
-    return QuadratureResult(value, err, "cavalieri", int(n), n=int(n))
+    return _strip_sum(f, pair, n, spacing, "cavalieri")
 
 
 def transformed_riemann(
@@ -184,16 +194,12 @@ def transformed_riemann(
     abs_tol: float = DEFAULT_ABS_TOL,
     rel_tol: float = DEFAULT_REL_TOL,
 ) -> QuadratureResult:
-    """Bounded-form route: int_0^{g(t)} f(h(x)) dx.
+    """Bounded-form route: int_0^{g(t)} f(h(x)) dx, by the adaptive core.
 
     No kernel singularity survives the transform, so this is the preferred
     high-accuracy route.
     """
-    def composed(x):
-        return evaluate(f, pair.inverse(x))
-
-    value, err, evals = adaptive_quadrature(composed, 0.0, pair.width, abs_tol, rel_tol, budget)
-    return QuadratureResult(value, err, "transformed", evals)
+    return _adaptive_core(f, pair.alpha, pair.t, budget, abs_tol, rel_tol, "transformed")
 
 
 def cauchy_repeated(

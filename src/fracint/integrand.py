@@ -11,7 +11,7 @@ INCREASING = "increasing"
 DECREASING = "decreasing"
 UNKNOWN = "unknown"
 
-BISECTION_ITERATIONS = 80
+BISECTION_ITERATIONS = 100
 
 
 @dataclass(frozen=True)
@@ -82,8 +82,8 @@ def power_integrand(coefficient: float, exponent: float) -> Integrand:
 def inverse_value(f: Integrand, y, upper: float):
     """f^{-1}(y) on [0, upper]: analytic inverse if present, else bisection.
 
-    Bisection needs a declared monotone direction; it runs a fixed 80
-    iterations or until the bracket is below 1e-13 * upper.
+    Bisection needs a declared monotone direction; it stops once the
+    bracket is below 1e-13 * upper.
     """
     if f.inverse is not None:
         return evaluate(f.inverse, y)
@@ -92,7 +92,7 @@ def inverse_value(f: Integrand, y, upper: float):
             f"integrand {f.label!r} has no inverse and no declared monotone direction"
         )
 
-    ys = np.atleast_1d(np.asarray(y, dtype=float))
+    ys = np.asarray(y, dtype=float)
     f_lo = evaluate(f, 0.0)
     f_hi = evaluate(f, upper)
     lo_val, hi_val = (f_lo, f_hi) if f.monotone == INCREASING else (f_hi, f_lo)
@@ -101,21 +101,31 @@ def inverse_value(f: Integrand, y, upper: float):
         raise DomainError(
             f"value outside the range [{lo_val:g}, {hi_val:g}] of {f.label!r} on [0, {upper:g}]"
         )
-    ys = np.clip(ys, lo_val, hi_val)
+    return bisect_monotone(
+        f, np.clip(ys, lo_val, hi_val), 0.0, upper, tol=1e-13 * float(upper),
+        increasing=f.monotone == INCREASING,
+    )
 
-    lo = np.zeros_like(ys)
-    hi = np.full_like(ys, float(upper))
-    tol = 1e-13 * float(upper)
-    sign = 1.0 if f.monotone == INCREASING else -1.0
+
+def bisect_monotone(fn, targets, lo: float, hi: float, tol: float = 0.0, increasing: bool = True):
+    """Vectorized bisection: solve fn(x) = target for monotone fn on [lo, hi].
+
+    Halves every bracket together until the widest is at most ``tol`` or
+    BISECTION_ITERATIONS halvings are done, and returns the midpoints.
+    """
+    ys = np.atleast_1d(np.asarray(targets, dtype=float))
+    los = np.full_like(ys, float(lo))
+    his = np.full_like(ys, float(hi))
+    sign = 1.0 if increasing else -1.0
     for _ in range(BISECTION_ITERATIONS):
-        mid = 0.5 * (lo + hi)
-        below = sign * (evaluate(f, mid) - ys) < 0.0
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-        if np.max(hi - lo) <= tol:
+        mid = 0.5 * (los + his)
+        below = sign * (evaluate(fn, mid) - ys) < 0.0
+        los = np.where(below, mid, los)
+        his = np.where(below, his, mid)
+        if np.max(his - los) <= tol:
             break
-    root = 0.5 * (lo + hi)
-    if np.asarray(y).ndim == 0:
+    root = 0.5 * (los + his)
+    if np.ndim(targets) == 0:
         return float(root[0])
     return root
 

@@ -12,8 +12,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import BudgetExhaustedError, DomainError
-from .integrand import evaluate
+from .errors import BudgetExhaustedError, DomainError, NumericalError
+from .integrand import bisect_monotone, evaluate
 
 DEFAULT_ABS_TOL = 1e-10
 DEFAULT_REL_TOL = 1e-10
@@ -68,7 +68,11 @@ _GAUSS_WEIGHTS = np.array([
 
 
 def _panel(fn, lo: float, hi: float):
-    """One Kronrod-15 panel: returns (integral, error estimate)."""
+    """One Kronrod-15 panel: returns (integral, error estimate).
+
+    Raises NumericalError when the sums are not finite, so that no NaN or
+    infinity reaches the adaptive total.
+    """
     center = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     x = center + half * _KRONROD_NODES
@@ -76,6 +80,8 @@ def _panel(fn, lo: float, hi: float):
     resk = half * float(np.dot(_KRONROD_WEIGHTS, fx))
     resg = half * float(np.dot(_GAUSS_WEIGHTS, fx[1::2]))
     err = abs(resk - resg)
+    if not math.isfinite(err):  # any NaN or infinite sample makes the Kronrod sum non-finite
+        raise NumericalError(f"non-finite integrand sum on the panel [{lo:g}, {hi:g}]")
     # QUADPACK-style rescaling against the variation of f on the panel.
     mean = resk / (hi - lo) if hi != lo else 0.0
     resasc = half * float(np.dot(_KRONROD_WEIGHTS, np.abs(fx - mean)))
@@ -96,7 +102,8 @@ def adaptive_quadrature(
 
     Returns (value, error_estimate, evaluations).  Raises
     BudgetExhaustedError (carrying the best value so far) when the budget
-    would be exceeded before the tolerance is met.
+    would be exceeded before the tolerance is met, and NumericalError as
+    soon as a panel's sum or error estimate, and so the total, is not finite.
     """
     lo = float(lo)
     hi = float(hi)
@@ -173,22 +180,6 @@ def stieltjes_integral(
     return value
 
 
-def _bisect_monotone(fn, targets, lo: float, hi: float, iterations: int = 100):
-    """Vectorized bisection: solve fn(x) = target for increasing fn on [lo, hi]."""
-    t = np.atleast_1d(np.asarray(targets, dtype=float))
-    los = np.full_like(t, float(lo))
-    his = np.full_like(t, float(hi))
-    for _ in range(iterations):
-        mid = 0.5 * (los + his)
-        below = np.atleast_1d(np.asarray(evaluate(fn, mid))) < t
-        los = np.where(below, mid, los)
-        his = np.where(below, his, mid)
-    out = 0.5 * (los + his)
-    if np.asarray(targets).ndim == 0:
-        return float(out[0])
-    return out
-
-
 @dataclass(frozen=True)
 class CavalieriRegion:
     """A region bounded below by the x-axis, above by y = f(x), and on the
@@ -229,18 +220,18 @@ class CavalieriRegion:
         """x where the left side meets f (solves g(x) = left(0))."""
         a0, _ = self.footprint
         lo, hi = self._corner_bracket()
-        return _bisect_monotone(self.integrator, a0, lo, hi)
+        return bisect_monotone(self.integrator, a0, lo, hi)
 
     @property
     def upper_abscissa(self) -> float:
         """x where the right side meets f (solves g(x) = left(0) + width)."""
         _, b0 = self.footprint
         lo, hi = self._corner_bracket()
-        return _bisect_monotone(self.integrator, b0, lo, hi)
+        return bisect_monotone(self.integrator, b0, lo, hi)
 
     def inverse(self, x):
         """h = g^{-1}, found by bisection between the corner abscissae."""
-        return _bisect_monotone(self.integrator, x, self.lower_abscissa, self.upper_abscissa)
+        return bisect_monotone(self.integrator, x, self.lower_abscissa, self.upper_abscissa)
 
     def area(
         self,

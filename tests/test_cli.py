@@ -4,7 +4,10 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from fracint import cli
 from fracint.cli import main
+from fracint.operator import DEFAULT_COMPOSE_GRID, DEFAULT_SUM_N
+from fracint.quadrature import DEFAULT_ABS_TOL, DEFAULT_BUDGET, DEFAULT_REL_TOL
 
 from _reference import FOUR_OVER_3SQRTPI
 
@@ -224,6 +227,7 @@ class TestSemigroupCommand:
 
     def test_excessive_order_exits_2(self, capsys):
         assert run(["semigroup", "--alpha", "0.7", "--beta", "0.7", "--t", "1"]) == 2
+        assert "exceeds the supported domain" in capsys.readouterr().err
 
 
 class TestConfigFile:
@@ -245,6 +249,18 @@ class TestConfigFile:
         assert run(["compare", "--alpha", "0.5", "--t", "1", "--tolerance", "1e-3",
                     "--config", str(config), "--out", str(out)]) == 0
         assert json.loads(out.read_text())["consistent"] is True
+
+    def test_defaults_are_the_library_constants(self):
+        assert cli.DEFAULTS == {
+            "abs_tol": DEFAULT_ABS_TOL,
+            "rel_tol": DEFAULT_REL_TOL,
+            "budget": DEFAULT_BUDGET,
+            "n": DEFAULT_SUM_N,
+            "tolerance": 1e-3,
+        }
+        args = cli.build_parser().parse_args(["semigroup", "--alpha", "0.3", "--beta", "0.4",
+                                              "--t", "1"])
+        assert args.grid == DEFAULT_COMPOSE_GRID
 
     def test_malformed_config_exits_2(self, tmp_path):
         config = tmp_path / "fracint.conf"

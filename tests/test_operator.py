@@ -1,10 +1,22 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+
+import fracint
 
 from fracint.engines import transformed_riemann
 from fracint.errors import DomainError
 from fracint.integrand import Integrand, power_integrand
-from fracint.operator import FractionalOperator, chebyshev_nodes, compose, power_oracle
+from fracint.operator import (
+    FractionalOperator,
+    chebyshev_nodes,
+    compose,
+    not_a_knot_spline,
+    power_oracle,
+)
 from fracint.transforms import make_transform
 
 from _reference import (
@@ -130,6 +142,62 @@ class TestCompose:
     def test_rejects_tiny_grid(self):
         with pytest.raises(DomainError):
             compose(FractionalOperator(0.3), FractionalOperator(0.3), LINEAR, 1.0, grid=32)
+
+
+class TestNotAKnotSpline:
+    def test_reproduces_a_cubic(self):
+        nodes = chebyshev_nodes(17, 3.0)
+        cubic = np.polynomial.Polynomial([0.5, -2.0, 1.5, 0.75])
+        spline = not_a_knot_spline(nodes, cubic(nodes))
+        xs = np.linspace(0.0, 3.0, 1001)
+        assert np.max(np.abs(spline(xs) - cubic(xs))) <= 1e-13 * np.max(np.abs(cubic(xs)))
+
+    @staticmethod
+    def third_derivative(spline, lo, hi):
+        # the piece on [lo, hi] is a cubic, so its third divided difference
+        # on four interior points is exactly its leading coefficient
+        xs = lo + (hi - lo) * np.array([0.2, 0.4, 0.6, 0.8])
+        h = xs[1] - xs[0]
+        return float(np.dot([-1.0, 3.0, -3.0, 1.0], spline(xs))) / h**3
+
+    def test_third_derivative_continuous_at_second_and_next_to_last_knot(self):
+        nodes = chebyshev_nodes(9, 2.0)
+        spline = not_a_knot_spline(nodes, np.sin(3.0 * nodes))
+        d3 = [self.third_derivative(spline, a, b) for a, b in zip(nodes[:-1], nodes[1:])]
+        scale = max(abs(v) for v in d3)
+        assert abs(d3[0] - d3[1]) <= 1e-6 * scale
+        assert abs(d3[-2] - d3[-1]) <= 1e-6 * scale
+        # an ordinary interior knot does jump, so the check can fail
+        assert abs(d3[3] - d3[4]) > 1e-3 * scale
+
+    def test_matches_scipy_where_installed(self):
+        # scipy's CubicSpline solves the same system and is the reference
+        interpolate = pytest.importorskip("scipy.interpolate")
+        nodes = chebyshev_nodes(256, 5.0)
+        values = nodes**0.8 * np.cos(nodes)  # a compose-like image: t**0.8 near 0
+        xs = np.linspace(0.0, 5.0, 4001)
+        expected = interpolate.CubicSpline(nodes, values)(xs)
+        got = not_a_knot_spline(nodes, values)(xs)
+        assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+    def test_rejects_too_few_nodes(self):
+        with pytest.raises(DomainError):
+            not_a_knot_spline([0.0, 1.0, 2.0], [0.0, 1.0, 4.0])
+
+
+def test_compose_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(fracint.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import sys, fracint\n"
+        "half = fracint.FractionalOperator(0.5)\n"
+        "fracint.compose(half, half, fracint.power_integrand(1.0, 1.0), 2.0)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert completed.stdout.strip() == "[]"
 
 
 def test_chebyshev_nodes_shape():

@@ -10,8 +10,9 @@ from fracint.engines import (
     stieltjes_sum,
     transformed_riemann,
 )
-from fracint.errors import BudgetExhaustedError, DomainError
-from fracint.integrand import power_integrand
+from fracint.errors import BudgetExhaustedError, DomainError, NumericalError
+from fracint.integrand import Integrand, power_integrand
+from fracint.operator import FractionalOperator
 from fracint.quadrature import (
     CavalieriRegion,
     adaptive_quadrature,
@@ -65,6 +66,22 @@ class TestAdaptiveEngine:
         assert exc.value == pytest.approx(2.0 / 3.0, rel=1e-3)
         assert exc.error_estimate > 0
         assert 15 <= exc.evaluations <= 64
+
+    def test_non_finite_integrand_is_a_numerical_failure(self):
+        nan = Integrand(fn=lambda x: np.full_like(x, np.nan), label="nan")
+        for route in ("transformed", "direct", "stieltjes", "cavalieri"):
+            with pytest.raises(NumericalError) as info:
+                FractionalOperator(0.5, route).apply(nan, 1.0)
+            assert not isinstance(info.value, BudgetExhaustedError)
+        calls = []
+
+        def infinite(x):
+            calls.append(len(x))
+            return np.full_like(x, np.inf)
+
+        with pytest.raises(NumericalError):
+            adaptive_quadrature(infinite, 0.0, 1.0)
+        assert calls == [15]  # raised on the first panel, without bisecting
 
     def test_deterministic(self):
         first = adaptive_quadrature(lambda x: np.sin(x) / (1 + x), 0.0, 5.0)
@@ -183,6 +200,15 @@ class TestSumRoutes:
         pair = make_transform(0.5, 1.0)
         result = cavalieri_sum(LINEAR, pair, 1000)
         true_err = abs(result.value - FOUR_OVER_3SQRTPI)
+        assert 0.2 * true_err <= result.error_estimate <= 5.0 * true_err
+
+    @pytest.mark.parametrize("n", (3, 999))
+    def test_odd_strip_counts(self, n):
+        # the stride-2 comparison sum closes on the right end when n is odd
+        pair = make_transform(0.5, 1.0)
+        result = cavalieri_sum(LINEAR, pair, n)
+        true_err = abs(result.value - FOUR_OVER_3SQRTPI)
+        assert result.n == n
         assert 0.2 * true_err <= result.error_estimate <= 5.0 * true_err
 
     @pytest.mark.parametrize("alpha", (0.4, 0.8))
