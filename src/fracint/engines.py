@@ -53,7 +53,7 @@ class QuadratureResult:
     def __post_init__(self):
         if self.method not in METHODS:
             raise DomainError(f"unknown method {self.method!r}")
-        if not np.isfinite(self.error_estimate) or self.error_estimate < 0:
+        if not math.isfinite(self.error_estimate) or self.error_estimate < 0:
             raise DomainError("error estimate must be finite and >= 0")
         if self.evaluations <= 0:
             raise DomainError("evaluation count must be positive")
@@ -95,12 +95,16 @@ def make_partition(pair: TransformPair, n: int, spacing: str = SPACING_TRANSFORM
     return Partition(transformed=x1, tau=x2)
 
 
-def _adaptive_core(f, alpha, t, budget, abs_tol, rel_tol, method) -> QuadratureResult:
-    """int_0^{g(t)} f(h(x)) dx as (1/Gamma(alpha+1)) int_0^{t**alpha} f(t - u**(1/alpha)) du."""
-    scale = recip_gamma(alpha + 1.0)  # 1 / (alpha * Gamma(alpha))
+def _adaptive_core(f, alpha, t, scale, budget, abs_tol, rel_tol, method) -> QuadratureResult:
+    """int_0^{g(t)} f(h(x)) dx as scale * int_0^{t**alpha} f(t - u**(1/alpha)) du.
+
+    ``scale`` is 1/Gamma(alpha+1), passed in so that a caller holding
+    Gamma(alpha+1) already does not evaluate it again.
+    """
 
     def bounded(u):
-        tau = np.clip(t - np.asarray(u, dtype=float) ** (1.0 / alpha), 0.0, t)
+        # np.minimum(np.maximum(...)) is np.clip without its Python wrapper
+        tau = np.minimum(np.maximum(t - np.asarray(u, dtype=float) ** (1.0 / alpha), 0.0), t)
         return evaluate(f, tau)
 
     raw, err, evals = adaptive_quadrature(bounded, 0.0, t**alpha, abs_tol, rel_tol, budget)
@@ -148,7 +152,9 @@ def direct_rl(
     if budget < 64:
         raise DomainError(f"direct route needs a budget of at least 64, got {budget}")
     if substitute:
-        return _adaptive_core(f, alpha, t, budget, abs_tol, rel_tol, "direct")
+        return _adaptive_core(
+            f, alpha, t, recip_gamma(alpha + 1.0), budget, abs_tol, rel_tol, "direct"
+        )
 
     def kernel(tau):
         arr = np.asarray(tau, dtype=float)
@@ -199,7 +205,10 @@ def transformed_riemann(
     No kernel singularity survives the transform, so this is the preferred
     high-accuracy route.
     """
-    return _adaptive_core(f, pair.alpha, pair.t, budget, abs_tol, rel_tol, "transformed")
+    return _adaptive_core(
+        f, pair.alpha, pair.t, 1.0 / pair.gamma_alpha_plus_one, budget, abs_tol, rel_tol,
+        "transformed",
+    )
 
 
 def cauchy_repeated(

@@ -4,12 +4,13 @@ Wraps route dispatch, the closed-form power-function values, and operator
 composition (the order-addition law I^a I^b = I^(a+b)).
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NumericalError
 from .gamma import gamma
 from .integrand import UNKNOWN, Integrand, evaluate
 from .quadrature import DEFAULT_ABS_TOL, DEFAULT_BUDGET, DEFAULT_REL_TOL
@@ -28,13 +29,23 @@ DEFAULT_COMPOSE_GRID = 256
 
 
 def power_oracle(exponent: float, alpha: float, t: float, coefficient: float = 1.0) -> float:
-    """Closed form for the power family: c * Gamma(p+1)/Gamma(p+1+alpha) * t**(p+alpha)."""
+    """Closed form for the power family: c * Gamma(p+1)/Gamma(p+1+alpha) * t**(p+alpha).
+
+    Raises NumericalError when t**(p+alpha) or the product overflows.
+    """
     p = float(exponent)
     if not np.isfinite(p) or p < 0:
         raise DomainError(f"power exponent must be finite and >= 0, got {p!r}")
     alpha = validate_order(alpha, allow_zero=True)
     t = validate_horizon(t)
-    return coefficient * gamma(p + 1.0) / gamma(p + 1.0 + alpha) * t ** (p + alpha)
+    try:
+        power = t ** (p + alpha)
+    except OverflowError:
+        raise NumericalError(f"t**(p+alpha) = {t:g}**{p + alpha:g} overflows") from None
+    value = coefficient * gamma(p + 1.0) / gamma(p + 1.0 + alpha) * power
+    if not math.isfinite(value):
+        raise NumericalError(f"non-finite closed form {value!r} for p = {p:g} at t = {t:g}")
+    return value
 
 
 @dataclass(frozen=True)

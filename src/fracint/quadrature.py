@@ -1,8 +1,10 @@
 """Adaptive Gauss-Kronrod quadrature and generic Stieltjes/Cavalieri forms.
 
 The adaptive engine is a 15-point Kronrod rule with embedded 7-point Gauss
-estimate, interval bisection, and a hard evaluation budget.  All nodes are
-interior, so integrable endpoint singularities never get sampled at the
+estimate, interval bisection, and a hard evaluation budget.  Each bisection
+makes one integrand call on the 30 nodes of both halves, and decides exactly
+as one call per half would: same panels, same values, same bits.  All nodes
+are interior, so integrable endpoint singularities never get sampled at the
 endpoint itself.  Everything here is deterministic: same inputs, same bits.
 """
 
@@ -67,16 +69,13 @@ _GAUSS_WEIGHTS = np.array([
 ])
 
 
-def _panel(fn, lo: float, hi: float):
-    """One Kronrod-15 panel: returns (integral, error estimate).
+def _kronrod(fx, lo: float, hi: float):
+    """Kronrod-15 sum and error estimate from the 15 samples fx of [lo, hi].
 
     Raises NumericalError when the sums are not finite, so that no NaN or
     infinity reaches the adaptive total.
     """
-    center = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    x = center + half * _KRONROD_NODES
-    fx = evaluate(fn, x)
     resk = half * float(np.dot(_KRONROD_WEIGHTS, fx))
     resg = half * float(np.dot(_GAUSS_WEIGHTS, fx[1::2]))
     err = abs(resk - resg)
@@ -88,6 +87,16 @@ def _panel(fn, lo: float, hi: float):
     if resasc != 0.0 and err != 0.0:
         err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
     return resk, err
+
+
+def _nodes(lo: float, hi: float):
+    """The 15 Kronrod abscissae of [lo, hi]."""
+    return 0.5 * (lo + hi) + 0.5 * (hi - lo) * _KRONROD_NODES
+
+
+def _panel(fn, lo: float, hi: float):
+    """One Kronrod-15 panel: returns (integral, error estimate)."""
+    return _kronrod(evaluate(fn, _nodes(lo, hi)), lo, hi)
 
 
 def adaptive_quadrature(
@@ -107,7 +116,7 @@ def adaptive_quadrature(
     """
     lo = float(lo)
     hi = float(hi)
-    if not (np.isfinite(lo) and np.isfinite(hi)):
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise DomainError("integration limits must be finite")
     if hi < lo:
         raise DomainError(f"inverted integration interval [{lo:g}, {hi:g}]")
@@ -118,17 +127,18 @@ def adaptive_quadrature(
 
     value, err = _panel(fn, lo, hi)
     evaluations = 15
-    segments = [(lo, hi, value, err)]
+    # the panels, as parallel lists in the order they were made
+    los, his, values, errors = [lo], [hi], [value], [err]
     min_width = 1e-15 * (hi - lo)
 
     while True:
-        total = math.fsum(s[2] for s in segments)
-        total_err = math.fsum(s[3] for s in segments)
+        total = math.fsum(values)
+        total_err = math.fsum(errors)
         if total_err <= max(abs_tol, rel_tol * abs(total)):
             return total, total_err, evaluations
         # deterministic worst-first selection: largest error, earliest wins ties
-        worst = max(range(len(segments)), key=lambda i: (segments[i][3], -i))
-        s_lo, s_hi, _, s_err = segments[worst]
+        worst = errors.index(max(errors))
+        s_lo, s_hi = los[worst], his[worst]
         if s_hi - s_lo <= min_width:
             # cannot resolve further in double precision; report what we have
             return total, total_err, evaluations
@@ -139,12 +149,18 @@ def adaptive_quadrature(
                 error_estimate=total_err,
                 evaluations=evaluations,
             )
+        # both halves in one integrand call; each keeps its own 1-D dot products,
+        # since a 2-D product can round the last bit differently
         mid = 0.5 * (s_lo + s_hi)
-        left = _panel(fn, s_lo, mid)
-        right = _panel(fn, mid, s_hi)
+        fx = evaluate(fn, np.concatenate((_nodes(s_lo, mid), _nodes(mid, s_hi))))
+        left_value, left_err = _kronrod(fx[:15], s_lo, mid)
+        right_value, right_err = _kronrod(fx[15:], mid, s_hi)
         evaluations += 30
-        segments[worst] = (s_lo, mid, left[0], left[1])
-        segments.append((mid, s_hi, right[0], right[1]))
+        his[worst], values[worst], errors[worst] = mid, left_value, left_err
+        los.append(mid)
+        his.append(s_hi)
+        values.append(right_value)
+        errors.append(right_err)
 
 
 def stieltjes_riemann_sum(f, g, lower: float, upper: float, n: int) -> float:

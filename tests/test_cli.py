@@ -93,6 +93,13 @@ class TestComputeCommand:
         assert run(["compute", "--f", "pow:1:0.5", "--alpha", "0.3", "--t", "10",
                     "--method", "direct", "--budget", "64"]) == 3
 
+    @pytest.mark.parametrize("method", ("oracle", "transformed"))
+    def test_overflowing_horizon_exits_3(self, method, capsys):
+        # t**(p+alpha) = 1e130**2.5 is beyond the largest double
+        assert run(["compute", "--f", "pow:1:2", "--alpha", "0.5", "--t", "1e130",
+                    "--method", method]) == 3
+        assert capsys.readouterr().err.startswith("fracint: ")
+
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as info:
             run(["compute", "--frobnicate", "1"])

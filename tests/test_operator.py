@@ -8,7 +8,7 @@ import pytest
 import fracint
 
 from fracint.engines import transformed_riemann
-from fracint.errors import DomainError
+from fracint.errors import DomainError, NumericalError
 from fracint.integrand import Integrand, power_integrand
 from fracint.operator import (
     FractionalOperator,
@@ -71,6 +71,17 @@ class TestPowerOracle:
             power_oracle(1.0, 1.5, 1.0)
         with pytest.raises(DomainError):
             power_oracle(1.0, 0.5, 0.0)
+
+    def test_overflow_is_a_numerical_failure(self):
+        # t**(p+alpha) overflows a double
+        with pytest.raises(NumericalError, match="overflows"):
+            power_oracle(2.0, 0.5, 1e130)
+        # the power is finite but the product with the coefficient is not
+        assert power_oracle(0.0, 1.0, 1e308) == pytest.approx(1e308, rel=1e-12)
+        with pytest.raises(NumericalError, match="non-finite"):
+            power_oracle(0.0, 1.0, 1e308, coefficient=10.0)
+        with pytest.raises(NumericalError):
+            FractionalOperator(0.5, "oracle").apply(power_integrand(1.0, 2.0), 1e130)
 
 
 class TestApply:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,11 @@ from fracint.engines import (
 from fracint.errors import BudgetExhaustedError, DomainError, NumericalError
 from fracint.integrand import Integrand, power_integrand
 from fracint.operator import FractionalOperator
+from fracint.integrand import evaluate
 from fracint.quadrature import (
+    _GAUSS_WEIGHTS,
+    _KRONROD_NODES,
+    _KRONROD_WEIGHTS,
     CavalieriRegion,
     adaptive_quadrature,
     stieltjes_integral,
@@ -87,6 +93,111 @@ class TestAdaptiveEngine:
         first = adaptive_quadrature(lambda x: np.sin(x) / (1 + x), 0.0, 5.0)
         second = adaptive_quadrature(lambda x: np.sin(x) / (1 + x), 0.0, 5.0)
         assert first == second
+
+
+def _reference_panel(fn, lo, hi):
+    """The Kronrod-15 panel as it was before bisection evaluated both halves at once."""
+    center = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    x = center + half * _KRONROD_NODES
+    fx = evaluate(fn, x)
+    resk = half * float(np.dot(_KRONROD_WEIGHTS, fx))
+    resg = half * float(np.dot(_GAUSS_WEIGHTS, fx[1::2]))
+    err = abs(resk - resg)
+    if not math.isfinite(err):
+        raise NumericalError(f"non-finite integrand sum on the panel [{lo:g}, {hi:g}]")
+    mean = resk / (hi - lo) if hi != lo else 0.0
+    resasc = half * float(np.dot(_KRONROD_WEIGHTS, np.abs(fx - mean)))
+    if resasc != 0.0 and err != 0.0:
+        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+    return resk, err
+
+
+def _reference_quadrature(fn, lo, hi, abs_tol=1e-10, rel_tol=1e-10, budget=10_000):
+    """The adaptive loop as it was: one panel per call, a full scan per split."""
+    value, err = _reference_panel(fn, lo, hi)
+    evaluations = 15
+    segments = [(lo, hi, value, err)]
+    min_width = 1e-15 * (hi - lo)
+
+    while True:
+        total = math.fsum(s[2] for s in segments)
+        total_err = math.fsum(s[3] for s in segments)
+        if total_err <= max(abs_tol, rel_tol * abs(total)):
+            return total, total_err, evaluations
+        worst = max(range(len(segments)), key=lambda i: (segments[i][3], -i))
+        s_lo, s_hi, _, s_err = segments[worst]
+        if s_hi - s_lo <= min_width:
+            return total, total_err, evaluations
+        if evaluations + 30 > budget:
+            raise BudgetExhaustedError(
+                f"evaluation budget {budget} exhausted (error estimate {total_err:.3e})",
+                value=total,
+                error_estimate=total_err,
+                evaluations=evaluations,
+            )
+        mid = 0.5 * (s_lo + s_hi)
+        left = _reference_panel(fn, s_lo, mid)
+        right = _reference_panel(fn, mid, s_hi)
+        evaluations += 30
+        segments[worst] = (s_lo, mid, left[0], left[1])
+        segments.append((mid, s_hi, right[0], right[1]))
+
+
+def _named_kink(u, alpha=0.472, t=7.894):
+    """The adaptive core's integrand for max(tau - 0.457 t, 0), a known miss."""
+    tau = np.minimum(np.maximum(t - u ** (1.0 / alpha), 0.0), t)
+    return np.maximum(tau - 0.457 * t, 0.0)
+
+
+class TestExactRefinement:
+    """Evaluating both halves of a split in one call changes no decision and no bit."""
+
+    @pytest.mark.parametrize("fn, lo, hi", [
+        (np.abs, -1.0, 1.0),  # the first split makes two children of equal error
+        (lambda x: np.abs(np.abs(x) - 1.0 / 3.0), -1.0, 1.0),  # equal errors compete later
+        (_named_kink, 0.0, 7.894**0.472),
+        (np.sqrt, 0.0, 1.0),
+        (lambda x: (x > 1.0 / 3.0).astype(float), 0.0, 1.0),
+    ], ids=["abs", "abs-ties", "named-kink", "sqrt", "step"])
+    def test_same_refinement_as_the_reference(self, fn, lo, hi):
+        assert adaptive_quadrature(fn, lo, hi) == _reference_quadrature(fn, lo, hi)
+
+    def test_same_budget_exhaustion_as_the_reference(self):
+        with pytest.raises(BudgetExhaustedError) as new:
+            adaptive_quadrature(np.sqrt, 0.0, 1.0, 1e-14, 1e-14, budget=64)
+        with pytest.raises(BudgetExhaustedError) as old:
+            _reference_quadrature(np.sqrt, 0.0, 1.0, 1e-14, 1e-14, budget=64)
+        assert str(new.value) == str(old.value)
+        got = (new.value.value, new.value.error_estimate, new.value.evaluations)
+        assert got == (old.value.value, old.value.error_estimate, old.value.evaluations)
+
+    def test_one_integrand_call_per_bisection(self):
+        calls = []
+
+        def counting(x):
+            calls.append(len(x))
+            return np.sqrt(x)
+
+        _, _, evaluations = adaptive_quadrature(counting, 0.0, 1.0)
+        assert evaluations > 15
+        assert len(calls) == 1 + (evaluations - 15) // 30
+        assert calls[0] == 15
+        assert all(n == 30 for n in calls[1:])
+
+    def test_non_finite_right_half_is_named(self):
+        calls = []
+
+        def nan_right_of_first_split(x):
+            calls.append(len(x))
+            out = np.sqrt(x)
+            if len(calls) == 2:
+                out[x > 0.5] = np.nan
+            return out
+
+        with pytest.raises(NumericalError, match=r"panel \[0\.5, 1\]"):
+            adaptive_quadrature(nan_right_of_first_split, 0.0, 1.0)
+        assert calls == [15, 30]
 
 
 class TestGenericStieltjes:
