@@ -76,7 +76,10 @@ def load_config(path: str) -> dict:
                 key, sep, value = line.partition("=")
                 if not sep:
                     raise DomainError(f"{path}:{lineno}: expected key=value, got {line!r}")
-                config[key.strip()] = value.strip()
+                key = key.strip()
+                if key not in DEFAULTS:
+                    raise DomainError(f"{path}:{lineno}: unknown config key {key!r}")
+                config[key] = value.strip()
     except OSError as exc:
         raise DomainError(f"cannot read config {path!r}: {exc}") from None
     return config
@@ -248,7 +251,9 @@ def cmd_regions(args) -> None:
     f = parse_integrand(args.f)
     alphas = parse_float_list(args.alpha)
     horizons = parse_float_list(args.t)
-    family = region_family(f, alphas, horizons, args.samples)
+    family = region_family(
+        f, alphas, horizons, args.samples, cfg["budget"], cfg["abs_tol"], cfg["rel_tol"]
+    )
 
     outline_block = ["alpha,t,part,x,y"]
     area_block = ["alpha,t,area"]
@@ -303,7 +308,10 @@ def cmd_curves(args) -> None:
 
     marker_block = ["alpha,t,area_marker"]
     marker_ts = parse_float_list(args.marker_t)
-    family = region_family(f, alphas, marker_ts, samples=2)
+    family = region_family(
+        f, alphas, marker_ts, samples=2,
+        budget=cfg["budget"], abs_tol=cfg["abs_tol"], rel_tol=cfg["rel_tol"],
+    )
     for geometry in family:
         marker_block.append(
             f"{format_number(geometry.alpha)},{format_number(geometry.t)},"
@@ -336,13 +344,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, tolerances=True):
+    def common(p, tolerances=True, sums=True):
         p.add_argument("--out", default=None, help="output file (default: stdout)")
-        p.add_argument("--config", default=None, help="key=value file overriding tolerances/budgets")
         if tolerances:
+            p.add_argument("--config", default=None, help="key=value file overriding tolerances/budgets")
             p.add_argument("--abs-tol", dest="abs_tol", type=float, default=None)
             p.add_argument("--rel-tol", dest="rel_tol", type=float, default=None)
             p.add_argument("--budget", type=int, default=None, help="adaptive evaluation budget")
+        if tolerances and sums:
             p.add_argument("--n", type=int, default=None, help="partition size for the sum routes")
 
     p = sub.add_parser("gamma", help="evaluate the gamma function")
@@ -380,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-strips", dest="n_strips", type=int, default=5)
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--svg", default=None, help="also render an SVG to this path")
-    common(p)
+    common(p, sums=False)
     p.set_defaults(handler=cmd_strips)
 
     p = sub.add_parser("regions", help="emit region outlines and areas for an (alpha, t) family")
@@ -389,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", default=DEFAULT_HORIZONS)
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--svg", default=None)
-    common(p)
+    common(p, sums=False)
     p.set_defaults(handler=cmd_regions)
 
     p = sub.add_parser("curves", help="emit value curves over t plus region-area markers")

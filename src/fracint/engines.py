@@ -36,9 +36,6 @@ from .transforms import TransformPair, validate_horizon, validate_order
 
 METHODS = ("direct", "stieltjes", "cavalieri", "transformed", "oracle")
 
-SPACING_TRANSFORMED = "transformed"
-SPACING_TAU = "tau"
-
 
 @dataclass(frozen=True)
 class QuadratureResult:
@@ -61,10 +58,10 @@ class QuadratureResult:
 
 @dataclass(frozen=True)
 class Partition:
-    """Companion partitions: uniform points on one axis, images on the other.
+    """Equal-width points on the transformed axis and their images under h.
 
-    ``transformed`` lives on [0, t**alpha / Gamma(alpha+1)], ``tau`` on [0, t];
-    tau[i] = h(transformed[i]) within roundoff either way.
+    ``transformed`` lives on [0, t**alpha / Gamma(alpha+1)] and ``tau`` on
+    [0, t], with tau[i] = h(transformed[i]).
     """
 
     transformed: np.ndarray
@@ -81,18 +78,12 @@ class Partition:
             raise DomainError("companion points must be non-decreasing")
 
 
-def make_partition(pair: TransformPair, n: int, spacing: str = SPACING_TRANSFORMED) -> Partition:
+def make_partition(pair: TransformPair, n: int) -> Partition:
+    """The strip layout of the strip sums and the strip geometry: n equal widths."""
     if n < 1:
         raise DomainError(f"partition size must be >= 1, got {n}")
-    if spacing == SPACING_TRANSFORMED:
-        x1 = np.linspace(0.0, pair.width, int(n) + 1)
-        x2 = pair.inverse(x1)
-    elif spacing == SPACING_TAU:
-        x2 = np.linspace(0.0, pair.t, int(n) + 1)
-        x1 = pair.forward(x2)
-    else:
-        raise DomainError(f"unknown partition spacing {spacing!r}")
-    return Partition(transformed=x1, tau=x2)
+    x1 = np.linspace(0.0, pair.width, int(n) + 1)
+    return Partition(transformed=x1, tau=pair.inverse(x1))
 
 
 def _adaptive_core(f, alpha, t, scale, budget, abs_tol, rel_tol, method) -> QuadratureResult:
@@ -111,13 +102,13 @@ def _adaptive_core(f, alpha, t, scale, budget, abs_tol, rel_tol, method) -> Quad
     return QuadratureResult(scale * raw, scale * err, method, evals)
 
 
-def _strip_sum(f, pair, n, spacing, method) -> QuadratureResult:
+def _strip_sum(f, pair, n, method) -> QuadratureResult:
     """Left-endpoint strip sum: sum f(h(x1_i)) * (x1_{i+1} - x1_i).
 
     The error estimate compares it with the sum over every second point
     (plus the right end when n is odd).
     """
-    part = make_partition(pair, n, spacing)
+    part = make_partition(pair, n)
     x1 = part.transformed
     heights = np.atleast_1d(np.asarray(evaluate(f, part.tau[:-1])))
     value = float(np.dot(heights, np.diff(x1)))
@@ -170,27 +161,17 @@ def direct_rl(
     return QuadratureResult(scale * raw, scale * err, "direct", evals)
 
 
-def stieltjes_sum(
-    f: Integrand,
-    pair: TransformPair,
-    n: int,
-    spacing: str = SPACING_TRANSFORMED,
-) -> QuadratureResult:
+def stieltjes_sum(f: Integrand, pair: TransformPair, n: int) -> QuadratureResult:
     """Left-endpoint sum of f against the integrator: sum f(x2_i) * (g(x2_{i+1}) - g(x2_i)).
 
     g(x2_i) is the transformed-axis point x1_i, so this is the strip sum.
     """
-    return _strip_sum(f, pair, n, spacing, "stieltjes")
+    return _strip_sum(f, pair, n, "stieltjes")
 
 
-def cavalieri_sum(
-    f: Integrand,
-    pair: TransformPair,
-    n: int,
-    spacing: str = SPACING_TRANSFORMED,
-) -> QuadratureResult:
+def cavalieri_sum(f: Integrand, pair: TransformPair, n: int) -> QuadratureResult:
     """Equal-width strip sum on the transformed axis: sum f(h(x1_i)) * dx1."""
-    return _strip_sum(f, pair, n, spacing, "cavalieri")
+    return _strip_sum(f, pair, n, "cavalieri")
 
 
 def transformed_riemann(

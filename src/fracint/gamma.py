@@ -1,28 +1,12 @@
 """Gamma function and its reciprocal.
 
-Evaluation uses the Lanczos rational approximation (g = 7, 9 coefficients)
-with the reflection identity Gamma(x)*Gamma(1-x) = pi/sin(pi*x) for
-arguments below 1/2.  Relative accuracy is ~1e-13 over the range used by
-the rest of the library.
+Evaluation is ``math.gamma``, accurate to about 1e-15 relative, behind
+checks that turn poles, non-finite input and overflow into library errors.
 """
 
 import math
 
 from .errors import DomainError, PoleError
-
-# Lanczos g = 7, 9-coefficient set (double precision).
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
 
 # Largest argument before Gamma(x) overflows a double.
 _OVERFLOW_X = 171.624
@@ -37,29 +21,12 @@ def is_pole(x: float) -> bool:
     return nearest <= 0 and abs(x - nearest) <= POLE_TOLERANCE
 
 
-def _lanczos_sum(z: float) -> float:
-    s = _LANCZOS_COEF[0]
-    for i in range(1, len(_LANCZOS_COEF)):
-        s += _LANCZOS_COEF[i] / (z + i)
-    return s
-
-
-def _gamma_positive(x: float) -> float:
-    # x >= 0.5; direct product below the overflow knee, logs above it.
-    z = x - 1.0
-    base = z + _LANCZOS_G + 0.5
-    s = _lanczos_sum(z)
-    if x <= 140.0:
-        return math.sqrt(2.0 * math.pi) * base ** (z + 0.5) * math.exp(-base) * s
-    log_gamma = (z + 0.5) * math.log(base) - base + math.log(math.sqrt(2.0 * math.pi) * s)
-    return math.exp(log_gamma)
-
-
 def gamma(x: float) -> float:
     """Gamma(x) for real x away from the non-positive integers.
 
     Raises PoleError on (near-)poles, DomainError for non-finite input or
-    arguments large enough to overflow (> ~171.6).
+    arguments large enough to overflow (> ~171.6).  Far below zero the value
+    underflows towards (signed) zero.
     """
     x = float(x)
     if not math.isfinite(x):
@@ -68,14 +35,15 @@ def gamma(x: float) -> float:
         raise PoleError(f"pole at non-positive integer (x = {x:g})")
     if x > _OVERFLOW_X:
         raise DomainError(f"gamma({x:g}) overflows double precision")
-    if x < 0.5:
-        # Reflection keeps the Lanczos sum on its accurate half-line.
-        return math.pi / (math.sin(math.pi * x) * _gamma_positive(1.0 - x))
-    return _gamma_positive(x)
+    return math.gamma(x)
 
 
 def recip_gamma(x: float) -> float:
-    """1/Gamma(x), which is entire: exactly 0.0 at non-positive integers."""
+    """1/Gamma(x), which is entire: exactly 0.0 at non-positive integers.
+
+    Raises DomainError where 1/Gamma(x) overflows (Gamma underflows, far
+    below zero).
+    """
     x = float(x)
     if not math.isfinite(x):
         raise DomainError(f"recip_gamma argument must be finite, got {x!r}")
@@ -84,4 +52,8 @@ def recip_gamma(x: float) -> float:
     if x > _OVERFLOW_X:
         # Gamma overflows but its reciprocal just underflows.
         return 0.0
-    return 1.0 / gamma(x)
+    value = gamma(x)
+    recip = 1.0 / value if value != 0.0 else math.inf
+    if not math.isfinite(recip):
+        raise DomainError(f"1/gamma({x:g}) overflows double precision")
+    return recip

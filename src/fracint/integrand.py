@@ -44,11 +44,10 @@ def evaluate(fn, x):
     try:
         out = np.asarray(fn(arr), dtype=float)
     except (TypeError, ValueError):
-        out = np.array([fn(float(v)) for v in np.atleast_1d(arr)], dtype=float)
-        out = out.reshape(arr.shape)
-    if out.shape != arr.shape:
-        out = np.array([fn(float(v)) for v in np.atleast_1d(arr)], dtype=float)
-        out = out.reshape(arr.shape)
+        out = None
+    if out is None or out.shape != arr.shape:
+        # a scalar-only callable raises on an array or returns the wrong shape
+        out = np.array([fn(float(v)) for v in arr.ravel()], dtype=float).reshape(arr.shape)
     if arr.ndim == 0:
         return float(out)
     return out

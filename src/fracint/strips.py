@@ -11,7 +11,7 @@ from typing import Optional
 
 import numpy as np
 
-from .engines import transformed_riemann
+from .engines import make_partition, transformed_riemann
 from .errors import DomainError, IncompatibleSamplingError, NonMonotoneError
 from .integrand import INCREASING, Integrand, check_inverse, evaluate, inverse_value
 from .quadrature import DEFAULT_ABS_TOL, DEFAULT_BUDGET, DEFAULT_REL_TOL
@@ -107,20 +107,14 @@ def build_strips(
     truncated where it meets the integrand curve; by construction that happens
     at (x2_i, f(x2_i)) with x2_i the image of the i-th partition point.
     """
-    if n < 1:
-        raise DomainError(f"strip count must be >= 1, got {n}")
     if samples_per_curve < 2:
         raise DomainError(f"need at least 2 samples per curve, got {samples_per_curve}")
     ft = _require_increasing_from_zero(f, pair.t)
 
     ys = np.linspace(0.0, ft, samples_per_curve)
-    taus_at_ys = np.atleast_1d(np.asarray(inverse_value(f, ys, pair.t)))
-    base_xs = taus_at_ys - np.asarray(pair.forward(taus_at_ys))
-
-    x1 = np.linspace(0.0, pair.width, n + 1)
-    x2 = np.atleast_1d(np.asarray(pair.inverse(x1)))
-    heights = np.atleast_1d(np.asarray(evaluate(f, x2)))
-
+    base_xs = pair.left_boundary(f, ys)
+    x2 = make_partition(pair, n).tau
+    heights = evaluate(f, x2)
     total = transformed_riemann(f, pair, budget, abs_tol, rel_tol).value
     return _assemble(
         f, pair.alpha, pair.t, pair.width, int(n), base_xs, ys, x2, heights, total,
@@ -139,8 +133,19 @@ def _identity_geometry(f: Integrand, t: float, samples: int) -> StripGeometry:
     return _assemble(f, 0.0, t, 1.0, 1, base_xs, ys, x2, heights, ft, samples)
 
 
-def region_family(f: Integrand, alphas, horizons, samples: int = 200) -> list:
-    """One single-strip geometry per (alpha, t): region outline plus right edge."""
+def region_family(
+    f: Integrand,
+    alphas,
+    horizons,
+    samples: int = 200,
+    budget: int = DEFAULT_BUDGET,
+    abs_tol: float = DEFAULT_ABS_TOL,
+    rel_tol: float = DEFAULT_REL_TOL,
+) -> list:
+    """One single-strip geometry per (alpha, t): region outline plus right edge.
+
+    The settings bound each area's adaptive quadrature, as in build_strips.
+    """
     alphas = [validate_order(a, allow_zero=True) for a in np.atleast_1d(alphas)]
     horizons = [validate_horizon(t) for t in np.atleast_1d(horizons)]
     if not alphas or not horizons:
@@ -151,7 +156,9 @@ def region_family(f: Integrand, alphas, horizons, samples: int = 200) -> list:
             if alpha == 0.0:
                 family.append(_identity_geometry(f, t, samples))
             else:
-                family.append(build_strips(f, TransformPair(alpha, t), 1, samples))
+                family.append(
+                    build_strips(f, TransformPair(alpha, t), 1, samples, budget, abs_tol, rel_tol)
+                )
     return family
 
 

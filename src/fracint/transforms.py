@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DomainError
 from .gamma import gamma
-from .integrand import Integrand, evaluate, inverse_value
+from .integrand import Integrand, inverse_value
 
 # Absolute tolerance for the inverse-transform radicand near the right endpoint.
 RADICAND_TOLERANCE = 1e-12
@@ -57,11 +57,6 @@ class TransformPair:
         # Total image width t**alpha / Gamma(alpha + 1); also the constant
         # horizontal offset between the strip boundary curves.
         self.width = self.t**self.alpha / self.gamma_alpha_plus_one
-
-    @property
-    def upper(self) -> float:
-        """Right endpoint of the transformed axis."""
-        return self.width
 
     def forward(self, tau):
         """g(tau) on [0, t]; strictly increasing."""
@@ -105,8 +100,3 @@ class TransformPair:
 def make_transform(alpha: float, t: float) -> TransformPair:
     """Build the transform pair; rejects alpha = 0 (degenerate identity case)."""
     return TransformPair(alpha, t)
-
-
-def identity_value(f: Integrand, t: float) -> float:
-    """Order-zero operator: plain evaluation f(t)."""
-    return float(evaluate(f, validate_horizon(t)))

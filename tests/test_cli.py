@@ -26,6 +26,36 @@ def rows_of(block):
     return [dict(zip(header, line.split(","))) for line in block[1:]]
 
 
+SETTINGS = {"--out", "--config", "--abs-tol", "--rel-tol", "--budget"}
+INPUTS = {"--f", "--alpha", "--t"}
+
+# every flag each subcommand offers; a flag that nothing reads must not be here
+OPTIONS = {
+    "gamma": {"--x", "--out"},
+    "transform": {"--alpha", "--t", "--samples", "--out"},
+    "compute": INPUTS | SETTINGS | {"--n", "--method"},
+    "compare": INPUTS | SETTINGS | {"--n", "--tolerance"},
+    "strips": INPUTS | SETTINGS | {"--n-strips", "--samples", "--svg"},
+    "regions": INPUTS | SETTINGS | {"--samples", "--svg"},
+    "curves": (INPUTS - {"--t"}) | SETTINGS | {
+        "--n", "--method", "--t-start", "--t-stop", "--t-step", "--marker-t",
+    },
+    "semigroup": INPUTS | SETTINGS | {"--n", "--method", "--beta", "--grid"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(OPTIONS))
+def test_subcommand_options(command):
+    parser = cli.build_parser()
+    (subparsers,) = [a for a in parser._actions if a.dest == "command"]
+    offered = {
+        option
+        for action in subparsers.choices[command]._actions
+        for option in action.option_strings
+    } - {"-h", "--help"}
+    assert offered == OPTIONS[command]
+
+
 class TestGammaCommand:
     def test_half(self, capsys):
         assert run(["gamma", "--x", "0.5"]) == 0
@@ -38,6 +68,10 @@ class TestGammaCommand:
     def test_pole_exits_2(self, capsys):
         assert run(["gamma", "--x", "-2"]) == 2
         assert "pole at non-positive integer" in capsys.readouterr().err
+
+    def test_far_negative_argument(self, capsys):
+        assert run(["gamma", "--x", "-171.7"]) == 0
+        assert capsys.readouterr().out.strip() == "8.52725457277733e-311"
 
 
 class TestTransformCommand:
@@ -170,6 +204,11 @@ class TestStripsCommand:
     def test_non_monotone_integrand_exits_2(self):
         assert run(["strips", "--f", "pow:1:0", "--alpha", "0.5", "--t", "2"]) == 2
 
+    def test_n_abbreviates_n_strips(self, capsys):
+        assert run(["strips", "--alpha", "0.5", "--t", "2", "--n", "10"]) == 0
+        _, area_block = blocks_of(capsys.readouterr().out)
+        assert len(rows_of(area_block)) == 10
+
 
 class TestRegionsCommand:
     def test_blocks(self, tmp_path):
@@ -184,6 +223,10 @@ class TestRegionsCommand:
         assert areas["1.00000000000e+00"] == pytest.approx(16.0 / 3.0, rel=1e-9)
         parts = {row["part"] for row in rows_of(outline_block)}
         assert parts == {"f", "edge"}
+
+    def test_budget_reaches_the_areas(self, capsys):
+        assert run(["regions", "--budget", "15"]) == 3
+        assert "budget 15 exhausted" in capsys.readouterr().err
 
 
 class TestCurvesCommand:
@@ -213,6 +256,11 @@ class TestCurvesCommand:
 
     def test_bad_step_exits_2(self):
         assert run(["curves", "--t-step", "0"]) == 2
+
+    def test_budget_reaches_the_markers(self, capsys):
+        # the default oracle route ignores the budget; the marker areas use it
+        assert run(["curves", "--budget", "15"]) == 3
+        assert "budget 15 exhausted" in capsys.readouterr().err
 
 
 class TestSemigroupCommand:
@@ -273,6 +321,12 @@ class TestConfigFile:
         config = tmp_path / "fracint.conf"
         config.write_text("tolerance 1e-12\n")
         assert run(["compare", "--config", str(config)]) == 2
+
+    def test_unknown_key_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "fracint.conf"
+        config.write_text("budgte = 5\n")
+        assert run(["compare", "--alpha", "0.5", "--t", "1", "--config", str(config)]) == 2
+        assert "unknown config key 'budgte'" in capsys.readouterr().err
 
 
 class TestDeterminism:

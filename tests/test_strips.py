@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
 
-from fracint.errors import DomainError, IncompatibleSamplingError, NonMonotoneError
-from fracint.integrand import Integrand, power_integrand
+from fracint.engines import make_partition
+from fracint.errors import (
+    BudgetExhaustedError,
+    DomainError,
+    IncompatibleSamplingError,
+    NonMonotoneError,
+)
+from fracint.integrand import Integrand, evaluate, power_integrand
 from fracint.strips import build_strips, region_family, translate_check
 from fracint.transforms import make_transform
 
@@ -42,6 +48,8 @@ class TestBuildStrips:
         expected = pair.inverse(x1)  # f = tau, so heights equal the abscissae
         assert np.allclose(geom.heights, expected, rtol=1e-12)
         assert np.allclose(geom.strip_areas, expected[:5] * geom.strip_width, rtol=1e-12)
+        # the strips take their layout from the partition the strip sums use
+        assert np.array_equal(geom.heights, evaluate(LINEAR, make_partition(pair, 5).tau))
 
     def test_area_sum_converges_to_engine_total(self):
         pair = make_transform(0.8, 10.0)
@@ -130,6 +138,10 @@ class TestRegionFamily:
         assert geom.total_area == direct.total_area
         assert len(geom.boundaries) == len(direct.boundaries) == 2
         assert np.allclose(geom.boundaries[-1], direct.boundaries[-1])
+
+    def test_settings_reach_the_area_quadrature(self):
+        with pytest.raises(BudgetExhaustedError):
+            region_family(SQRT, [0.5], [4.0], samples=8, budget=15)
 
     def test_empty_inputs_rejected(self):
         with pytest.raises(DomainError):

@@ -3,7 +3,7 @@ import pytest
 
 from fracint.errors import DomainError, NonMonotoneError
 from fracint.integrand import Integrand, power_integrand
-from fracint.transforms import identity_value, make_transform, validate_horizon, validate_order
+from fracint.transforms import make_transform, validate_horizon, validate_order
 
 from _reference import (
     ALPHA_GRID,
@@ -143,8 +143,3 @@ def test_left_boundary_range_error():
     pair = make_transform(0.5, 4.0)
     with pytest.raises(DomainError):
         pair.left_boundary(LINEAR, 5.0)  # above f(t) = 4
-
-
-def test_identity_value():
-    assert identity_value(LINEAR, 7.0) == 7.0
-    assert identity_value(power_integrand(1.0, 0.5), 4.0) == pytest.approx(2.0, rel=1e-14)
