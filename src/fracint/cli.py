@@ -2,8 +2,9 @@
 
 Subcommands: gamma, transform, compute, compare, strips, regions, curves,
 semigroup.  Exit codes: 0 success, 2 input or domain error, 3 numerical
-failure.  An optional key=value config file can override tolerances and
-budgets; explicit flags always win.
+failure.  The parser holds every default.  An optional key=value config file
+replaces the defaults of the settings flags its subcommand offers; explicit
+flags always win.
 """
 
 import argparse
@@ -31,14 +32,8 @@ from .transforms import make_transform
 DEFAULT_ALPHAS = "0,0.2,0.4,0.6,0.8,1"
 DEFAULT_HORIZONS = "2,4,6,8,10"
 
-DEFAULTS = {
-    "abs_tol": DEFAULT_ABS_TOL,
-    "rel_tol": DEFAULT_REL_TOL,
-    "budget": DEFAULT_BUDGET,
-    "n": DEFAULT_SUM_N,
-    "tolerance": 1e-3,
-}
-_CONFIG_CASTS = {key: type(value) for key, value in DEFAULTS.items()}
+# the flags, by dest, whose defaults a config file may replace
+SETTINGS = ("abs_tol", "rel_tol", "budget", "n", "tolerance")
 
 _TINY = 1e-300
 
@@ -65,7 +60,9 @@ def parse_float_list(text: str):
     return values
 
 
-def load_config(path: str) -> dict:
+def load_config(path: str, parser: argparse.ArgumentParser) -> dict:
+    """Defaults for the settings flags of ``parser`` from key=value lines, cast by flag type."""
+    actions = {a.dest: a for a in parser._actions if a.dest in SETTINGS}
     config = {}
     try:
         with open(path) as handle:
@@ -77,40 +74,25 @@ def load_config(path: str) -> dict:
                 if not sep:
                     raise DomainError(f"{path}:{lineno}: expected key=value, got {line!r}")
                 key = key.strip()
-                if key not in DEFAULTS:
-                    raise DomainError(f"{path}:{lineno}: unknown config key {key!r}")
-                config[key] = value.strip()
+                if key not in actions:
+                    raise DomainError(f"{path}:{lineno}: unknown config key {key!r} for {parser.prog}")
+                try:
+                    config[key] = actions[key].type(value.strip())
+                except ValueError as exc:
+                    raise DomainError(f"config key {key!r}: {exc}") from None
     except OSError as exc:
         raise DomainError(f"cannot read config {path!r}: {exc}") from None
     return config
 
 
-def resolve_settings(args) -> dict:
-    """Merge flag values, config-file values, and built-in defaults."""
-    config = load_config(args.config) if getattr(args, "config", None) else {}
-    settings = {}
-    for key, cast in _CONFIG_CASTS.items():
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            settings[key] = flag_value
-        elif key in config:
-            try:
-                settings[key] = cast(config[key])
-            except ValueError as exc:
-                raise DomainError(f"config key {key!r}: {exc}") from None
-        else:
-            settings[key] = DEFAULTS[key]
-    return settings
-
-
-def _operator(alpha: float, method: str, cfg: dict) -> FractionalOperator:
+def _operator(alpha: float, method: str, args) -> FractionalOperator:
     return FractionalOperator(
         alpha,
         route=method,
-        abs_tol=cfg["abs_tol"],
-        rel_tol=cfg["rel_tol"],
-        budget=cfg["budget"],
-        n=cfg["n"],
+        abs_tol=args.abs_tol,
+        rel_tol=args.rel_tol,
+        budget=args.budget,
+        n=args.n,
     )
 
 
@@ -146,11 +128,10 @@ def cmd_transform(args) -> None:
 
 
 def cmd_compute(args) -> None:
-    cfg = resolve_settings(args)
     f = parse_integrand(args.f)
     rows = ["alpha,t,method,value,oracle,abs_err,rel_err,n_evals,seconds"]
     for alpha in parse_float_list(args.alpha):
-        op = _operator(alpha, args.method, cfg)
+        op = _operator(alpha, args.method, args)
         for t in parse_float_list(args.t):
             start = time.perf_counter()
             result = op.apply(f, t)
@@ -182,7 +163,6 @@ def cmd_compute(args) -> None:
 
 
 def cmd_compare(args) -> None:
-    cfg = resolve_settings(args)
     f = parse_integrand(args.f)
     routes = ("direct", "stieltjes", "cavalieri", "transformed")
     results = {}
@@ -190,14 +170,14 @@ def cmd_compare(args) -> None:
     for alpha in parse_float_list(args.alpha):
         for t in parse_float_list(args.t):
             values = {
-                route: _operator(alpha, route, cfg).apply(f, t).value
+                route: _operator(alpha, route, args).apply(f, t).value
                 for route in routes
             }
             deltas = {}
             for i, r1 in enumerate(routes):
                 for r2 in routes[i + 1:]:
                     deltas[f"{r1}|{r2}"] = _rel_delta(values[r1], values[r2])
-            consistent = all(d <= cfg["tolerance"] for d in deltas.values())
+            consistent = all(d <= args.tolerance for d in deltas.values())
             all_consistent = all_consistent and consistent
             entry = dict(values)
             entry["oracle"] = _oracle_value(f, alpha, t)
@@ -206,9 +186,9 @@ def cmd_compare(args) -> None:
             results[f"alpha={alpha:g},t={t:g}"] = entry
     payload = {
         "integrand": f.label,
-        "tolerance": cfg["tolerance"],
-        "n": cfg["n"],
-        "budget": cfg["budget"],
+        "tolerance": args.tolerance,
+        "n": args.n,
+        "budget": args.budget,
         "consistent": all_consistent,
         "results": results,
     }
@@ -235,11 +215,10 @@ def _strips_svg(geometry) -> str:
 
 
 def cmd_strips(args) -> None:
-    cfg = resolve_settings(args)
     f = parse_integrand(args.f)
     pair = make_transform(args.alpha, args.t)
     geometry = build_strips(
-        f, pair, args.n_strips, args.samples, cfg["budget"], cfg["abs_tol"], cfg["rel_tol"]
+        f, pair, args.n_strips, args.samples, args.budget, args.abs_tol, args.rel_tol
     )
     write_text(args.out, _strips_csv(geometry))
     if args.svg:
@@ -247,12 +226,11 @@ def cmd_strips(args) -> None:
 
 
 def cmd_regions(args) -> None:
-    cfg = resolve_settings(args)
     f = parse_integrand(args.f)
     alphas = parse_float_list(args.alpha)
     horizons = parse_float_list(args.t)
     family = region_family(
-        f, alphas, horizons, args.samples, cfg["budget"], cfg["abs_tol"], cfg["rel_tol"]
+        f, alphas, horizons, args.samples, args.budget, args.abs_tol, args.rel_tol
     )
 
     outline_block = ["alpha,t,part,x,y"]
@@ -289,7 +267,6 @@ def _curve_value(op: FractionalOperator, f: Integrand, t: float) -> float:
 
 
 def cmd_curves(args) -> None:
-    cfg = resolve_settings(args)
     f = parse_integrand(args.f)
     alphas = parse_float_list(args.alpha)
     if args.t_step <= 0 or args.t_stop < args.t_start:
@@ -299,7 +276,7 @@ def cmd_curves(args) -> None:
 
     curve_block = ["alpha,t,value"]
     for alpha in alphas:
-        op = _operator(alpha, args.method, cfg)
+        op = _operator(alpha, args.method, args)
         for t in horizons:
             value = _curve_value(op, f, t)
             curve_block.append(
@@ -310,7 +287,7 @@ def cmd_curves(args) -> None:
     marker_ts = parse_float_list(args.marker_t)
     family = region_family(
         f, alphas, marker_ts, samples=2,
-        budget=cfg["budget"], abs_tol=cfg["abs_tol"], rel_tol=cfg["rel_tol"],
+        budget=args.budget, abs_tol=args.abs_tol, rel_tol=args.rel_tol,
     )
     for geometry in family:
         marker_block.append(
@@ -321,12 +298,11 @@ def cmd_curves(args) -> None:
 
 
 def cmd_semigroup(args) -> None:
-    cfg = resolve_settings(args)
     f = parse_integrand(args.f)
-    outer = _operator(args.alpha, args.method, cfg)
-    inner = _operator(args.beta, args.method, cfg)
+    outer = _operator(args.alpha, args.method, args)
+    inner = _operator(args.beta, args.method, args)
     composed = compose(outer, inner, f, args.t, args.grid)
-    direct = _operator(min(args.alpha + args.beta, 1.0), args.method, cfg).apply(f, args.t).value
+    direct = _operator(min(args.alpha + args.beta, 1.0), args.method, args).apply(f, args.t).value
     gap = _rel_delta(composed, direct)
     write_text(
         args.out,
@@ -347,12 +323,13 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, tolerances=True, sums=True):
         p.add_argument("--out", default=None, help="output file (default: stdout)")
         if tolerances:
-            p.add_argument("--config", default=None, help="key=value file overriding tolerances/budgets")
-            p.add_argument("--abs-tol", dest="abs_tol", type=float, default=None)
-            p.add_argument("--rel-tol", dest="rel_tol", type=float, default=None)
-            p.add_argument("--budget", type=int, default=None, help="adaptive evaluation budget")
+            p.add_argument("--config", default=None, help="key=value file of settings-flag defaults")
+            p.add_argument("--abs-tol", dest="abs_tol", type=float, default=DEFAULT_ABS_TOL)
+            p.add_argument("--rel-tol", dest="rel_tol", type=float, default=DEFAULT_REL_TOL)
+            p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="adaptive evaluation budget")
+            p.set_defaults(parser=p)
         if tolerances and sums:
-            p.add_argument("--n", type=int, default=None, help="partition size for the sum routes")
+            p.add_argument("--n", type=int, default=DEFAULT_SUM_N, help="partition size for the sum routes")
 
     p = sub.add_parser("gamma", help="evaluate the gamma function")
     p.add_argument("--x", type=float, required=True)
@@ -378,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f", default="pow:1:1")
     p.add_argument("--alpha", default=DEFAULT_ALPHAS)
     p.add_argument("--t", default=DEFAULT_HORIZONS)
-    p.add_argument("--tolerance", type=float, default=None, help="pairwise consistency tolerance")
+    p.add_argument("--tolerance", type=float, default=1e-3, help="pairwise consistency tolerance")
     common(p)
     p.set_defaults(handler=cmd_compare)
 
@@ -426,8 +403,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
+        if getattr(args, "config", None):
+            # the parser is built afresh per call, so these defaults do not outlive it
+            args.parser.set_defaults(**load_config(args.config, args.parser))
+            args = parser.parse_args(argv)
         args.handler(args)
     except DomainError as exc:
         print(f"fracint: {exc}", file=sys.stderr)

@@ -10,7 +10,7 @@ endpoint itself.  Everything here is deterministic: same inputs, same bits.
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -209,7 +209,6 @@ class CavalieriRegion:
     f: Callable
     left: Callable
     width: float
-    bracket: Optional[tuple] = None  # search interval for the side/top corners
 
     @property
     def footprint(self):
@@ -225,8 +224,6 @@ class CavalieriRegion:
         return out
 
     def _corner_bracket(self):
-        if self.bracket is not None:
-            return float(self.bracket[0]), float(self.bracket[1])
         a0, b0 = self.footprint
         span = abs(self.width) + abs(a0) + abs(b0) + 1.0
         return min(0.0, a0) - span, b0 + span

@@ -44,13 +44,16 @@ OPTIONS = {
 }
 
 
+def subparser(command):
+    (subparsers,) = [a for a in cli.build_parser()._actions if a.dest == "command"]
+    return subparsers.choices[command]
+
+
 @pytest.mark.parametrize("command", sorted(OPTIONS))
 def test_subcommand_options(command):
-    parser = cli.build_parser()
-    (subparsers,) = [a for a in parser._actions if a.dest == "command"]
     offered = {
         option
-        for action in subparsers.choices[command]._actions
+        for action in subparser(command)._actions
         for option in action.option_strings
     } - {"-h", "--help"}
     assert offered == OPTIONS[command]
@@ -133,6 +136,11 @@ class TestComputeCommand:
         assert run(["compute", "--f", "pow:1:2", "--alpha", "0.5", "--t", "1e130",
                     "--method", method]) == 3
         assert capsys.readouterr().err.startswith("fracint: ")
+
+    def test_underflowing_strip_width_exits_2(self, capsys):
+        # width 1e-320 over 100 000 strips rounds the step to zero
+        assert run(["compute", "--alpha", "1", "--t", "1e-320", "--method", "cavalieri"]) == 2
+        assert "strictly increasing" in capsys.readouterr().err
 
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as info:
@@ -306,13 +314,20 @@ class TestConfigFile:
         assert json.loads(out.read_text())["consistent"] is True
 
     def test_defaults_are_the_library_constants(self):
-        assert cli.DEFAULTS == {
+        library = {
             "abs_tol": DEFAULT_ABS_TOL,
             "rel_tol": DEFAULT_REL_TOL,
             "budget": DEFAULT_BUDGET,
             "n": DEFAULT_SUM_N,
             "tolerance": 1e-3,
         }
+        for command, options in OPTIONS.items():
+            for key, value in library.items():
+                if "--" + key.replace("_", "-") in options:
+                    default = subparser(command).get_default(key)
+                    assert (command, key, default, type(default)) == (
+                        command, key, value, type(value)
+                    )
         args = cli.build_parser().parse_args(["semigroup", "--alpha", "0.3", "--beta", "0.4",
                                               "--t", "1"])
         assert args.grid == DEFAULT_COMPOSE_GRID
@@ -327,6 +342,73 @@ class TestConfigFile:
         config.write_text("budgte = 5\n")
         assert run(["compare", "--alpha", "0.5", "--t", "1", "--config", str(config)]) == 2
         assert "unknown config key 'budgte'" in capsys.readouterr().err
+
+    def test_bad_value_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "fracint.conf"
+        config.write_text("budget = abc\n")
+        assert run(["compare", "--alpha", "0.5", "--t", "1", "--config", str(config)]) == 2
+        assert "config key 'budget'" in capsys.readouterr().err
+
+
+# one quick run per subcommand that takes --config; SETTING_VALUES move its output
+CONFIG_RUNS = {
+    "compute": ["compute", "--f", "pow:1:0.5", "--alpha", "0.5", "--t", "2", "--method", "direct"],
+    "compare": ["compare", "--f", "pow:1:0.5", "--alpha", "0.5", "--t", "2"],
+    "strips": ["strips", "--f", "pow:1:0.5", "--alpha", "0.5", "--t", "2", "--samples", "8"],
+    "regions": ["regions", "--f", "pow:1:0.5", "--alpha", "0.5", "--t", "2", "--samples", "8"],
+    "curves": ["curves", "--f", "pow:1:0.5", "--alpha", "0.5", "--t-stop", "2", "--t-step", "1",
+               "--marker-t", "2"],
+    "semigroup": ["semigroup", "--f", "pow:1:0.5", "--alpha", "0.3", "--beta", "0.4", "--t", "1",
+                  "--grid", "64", "--method", "direct"],
+}
+SETTING_VALUES = {"abs_tol": "1e-4", "rel_tol": "1e-4", "budget": "100", "n": "1000",
+                  "tolerance": "1e-12"}
+# strips prints no adaptive value, so its tolerances change only the work done
+SILENT_CASES = {("strips", "abs_tol"), ("strips", "rel_tol")}
+CONFIG_CASES = [
+    (command, key)
+    for command in sorted(CONFIG_RUNS)
+    for key in sorted(SETTING_VALUES)
+    if "--" + key.replace("_", "-") in OPTIONS[command]
+]
+
+
+def outcome(argv, capsys):
+    code = run(argv)
+    out, err = capsys.readouterr()
+    if argv[0] == "compute":
+        # drop the seconds column, the one cell that is timed
+        out = "\n".join(line.rsplit(",", 1)[0] for line in out.splitlines())
+    return code, out, err
+
+
+@pytest.mark.parametrize(("command", "key"), CONFIG_CASES)
+def test_config_key_matches_its_flag(command, key, tmp_path, capsys):
+    config = tmp_path / "fracint.conf"
+    config.write_text(f"{key} = {SETTING_VALUES[key]}\n")
+    argv = CONFIG_RUNS[command]
+    if key == "n" and command != "compare":
+        argv = argv + ["--method", "cavalieri"]
+    before = outcome(argv, capsys)
+    via_config = outcome(argv + ["--config", str(config)], capsys)
+    after = outcome(argv, capsys)
+    via_flag = outcome(argv + ["--" + key.replace("_", "-"), SETTING_VALUES[key]], capsys)
+    assert via_config == via_flag
+    assert (via_flag == before) == ((command, key) in SILENT_CASES)
+    assert after == before
+
+
+@pytest.mark.parametrize(("command", "key"), [
+    (command, key)
+    for command in sorted(CONFIG_RUNS)
+    for key in SETTING_VALUES
+    if (command, key) not in CONFIG_CASES
+])
+def test_config_key_the_subcommand_lacks_exits_2(command, key, tmp_path, capsys):
+    config = tmp_path / "fracint.conf"
+    config.write_text(f"{key} = {SETTING_VALUES[key]}\n")
+    assert run(CONFIG_RUNS[command] + ["--config", str(config)]) == 2
+    assert f"unknown config key {key!r}" in capsys.readouterr().err
 
 
 class TestDeterminism:

@@ -376,6 +376,14 @@ class TestRepeatedIntegration:
             with pytest.raises(DomainError):
                 cauchy_repeated(LINEAR, bad, 1.0)
 
+    def test_largest_count_before_the_factorial_overflows(self):
+        # 10**171 / 171! is about 8e-139: the scale underflows only past 171
+        assert cauchy_repeated(CONST, 171, 10.0).value == pytest.approx(
+            10.0**171 / 171 / math.factorial(170), rel=1e-12
+        )
+        with pytest.raises(DomainError):
+            cauchy_repeated(CONST, 172, 10.0)
+
     def test_oracle_pinned_values(self):
         assert nested_integral_oracle(LINEAR, 2, 1.0) == pytest.approx(1.0 / 6.0, abs=1e-6)
         assert nested_integral_oracle(CONST, 2, 1.0) == pytest.approx(0.5, abs=1e-6)
@@ -399,11 +407,25 @@ class TestPartition:
         part = make_partition(pair, 64)
         assert part.transformed[0] == 0.0
         assert part.transformed[-1] == pytest.approx(pair.width, rel=1e-14)
-        assert np.all(np.diff(part.transformed) > 0)
         assert part.tau[0] == 0.0
         assert part.tau[-1] == pytest.approx(4.0, rel=1e-14)
-        assert np.all(np.diff(part.tau) >= 0)
         assert np.all((part.tau >= 0) & (part.tau <= 4.0))
+
+    @pytest.mark.parametrize("alpha", (0.3, 0.7, 1.0))
+    def test_points_are_ordered_down_to_tiny_widths(self, alpha):
+        # make_partition checks two points; the strip sums rely on all of them
+        for t in (1e-323, 1e-320, 1e-310, 1e-300, 1e-12, 1.0, 1e6):
+            pair = make_transform(alpha, t)
+            for n in (1, 2, 3, 1000, 100_000):
+                try:
+                    part = make_partition(pair, n)
+                except DomainError:
+                    refused = np.linspace(0.0, pair.width, n + 1)
+                    assert not np.all(np.diff(refused) > 0)
+                    continue
+                assert np.all(np.diff(part.transformed) > 0)
+                # h flattens near the ends, so neighbouring images may round equal
+                assert np.all(np.diff(part.tau) >= 0)
 
     def test_errors(self):
         pair = make_transform(0.5, 4.0)
