@@ -4,7 +4,8 @@ Subcommands: gamma, transform, compute, compare, strips, regions, curves,
 semigroup.  Exit codes: 0 success, 2 input or domain error, 3 numerical
 failure.  The parser holds every default.  An optional key=value config file
 replaces the defaults of the settings flags its subcommand offers; explicit
-flags always win.
+flags always win.  Every printed area is an operator value: ``strips`` draws
+geometry only and offers no settings flags.
 """
 
 import argparse
@@ -96,9 +97,7 @@ def _operator(alpha: float, method: str, args) -> FractionalOperator:
     )
 
 
-def _oracle_value(f: Integrand, alpha: float, t: float):
-    if f.power is None:
-        return None
+def _oracle_value(f: Integrand, alpha: float, t: float) -> float:
     coefficient, exponent = f.power
     return power_oracle(exponent, alpha, t, coefficient)
 
@@ -137,13 +136,7 @@ def cmd_compute(args) -> None:
             result = op.apply(f, t)
             seconds = time.perf_counter() - start
             oracle = _oracle_value(f, alpha, t)
-            if oracle is None:
-                oracle_cell = abs_cell = rel_cell = ""
-            else:
-                abs_err = abs(result.value - oracle)
-                oracle_cell = format_number(oracle)
-                abs_cell = format_number(abs_err)
-                rel_cell = format_number(abs_err / max(abs(oracle), _TINY))
+            abs_err = abs(result.value - oracle)
             rows.append(
                 ",".join(
                     (
@@ -151,9 +144,9 @@ def cmd_compute(args) -> None:
                         format_number(t),
                         args.method,
                         format_number(result.value),
-                        oracle_cell,
-                        abs_cell,
-                        rel_cell,
+                        format_number(oracle),
+                        format_number(abs_err),
+                        format_number(abs_err / max(abs(oracle), _TINY)),
                         str(result.evaluations),
                         format_number(seconds),
                     )
@@ -217,9 +210,7 @@ def _strips_svg(geometry) -> str:
 def cmd_strips(args) -> None:
     f = parse_integrand(args.f)
     pair = make_transform(args.alpha, args.t)
-    geometry = build_strips(
-        f, pair, args.n_strips, args.samples, args.budget, args.abs_tol, args.rel_tol
-    )
+    geometry = build_strips(f, pair, args.n_strips, args.samples)
     write_text(args.out, _strips_csv(geometry))
     if args.svg:
         write_text(args.svg, _strips_svg(geometry))
@@ -229,9 +220,7 @@ def cmd_regions(args) -> None:
     f = parse_integrand(args.f)
     alphas = parse_float_list(args.alpha)
     horizons = parse_float_list(args.t)
-    family = region_family(
-        f, alphas, horizons, args.samples, args.budget, args.abs_tol, args.rel_tol
-    )
+    family = region_family(f, alphas, horizons, args.samples)
 
     outline_block = ["alpha,t,part,x,y"]
     area_block = ["alpha,t,area"]
@@ -242,7 +231,10 @@ def cmd_regions(args) -> None:
             outline_block.append(f"{prefix},f,{format_number(x)},{format_number(y)}")
         for x, y in geometry.boundaries[-1]:
             outline_block.append(f"{prefix},edge,{format_number(x)},{format_number(y)}")
-        area_block.append(f"{prefix},{format_number(geometry.total_area)}")
+        area = FractionalOperator(
+            geometry.alpha, abs_tol=args.abs_tol, rel_tol=args.rel_tol, budget=args.budget
+        ).apply(f, geometry.t).value
+        area_block.append(f"{prefix},{format_number(area)}")
     write_text(args.out, join_blocks(outline_block, area_block))
 
     if args.svg:
@@ -285,15 +277,13 @@ def cmd_curves(args) -> None:
 
     marker_block = ["alpha,t,area_marker"]
     marker_ts = parse_float_list(args.marker_t)
-    family = region_family(
-        f, alphas, marker_ts, samples=2,
-        budget=args.budget, abs_tol=args.abs_tol, rel_tol=args.rel_tol,
-    )
-    for geometry in family:
-        marker_block.append(
-            f"{format_number(geometry.alpha)},{format_number(geometry.t)},"
-            f"{format_number(geometry.total_area)}"
-        )
+    for alpha in alphas:
+        op = _operator(alpha, "transformed", args)
+        for t in marker_ts:
+            marker = op.apply(f, t).value
+            marker_block.append(
+                f"{format_number(alpha)},{format_number(t)},{format_number(marker)}"
+            )
     write_text(args.out, join_blocks(curve_block, marker_block))
 
 
@@ -366,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-strips", dest="n_strips", type=int, default=5)
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--svg", default=None, help="also render an SVG to this path")
-    common(p, sums=False)
+    common(p, tolerances=False)
     p.set_defaults(handler=cmd_strips)
 
     p = sub.add_parser("regions", help="emit region outlines and areas for an (alpha, t) family")
@@ -378,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, sums=False)
     p.set_defaults(handler=cmd_regions)
 
-    p = sub.add_parser("curves", help="emit value curves over t plus region-area markers")
+    p = sub.add_parser("curves", help="emit value curves over t plus transformed-route markers")
     p.add_argument("--f", default="pow:1:1")
     p.add_argument("--alpha", default=DEFAULT_ALPHAS)
     p.add_argument("--t-start", dest="t_start", type=float, default=0.0)

@@ -39,7 +39,11 @@ METHODS = ("direct", "stieltjes", "cavalieri", "transformed", "oracle")
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    """Value plus the bookkeeping needed to compare routes."""
+    """Value plus the bookkeeping needed to compare routes.
+
+    Raises NumericalError unless the value and its error estimate are finite,
+    so no route returns an overflowed total.
+    """
 
     value: float
     error_estimate: float
@@ -50,8 +54,13 @@ class QuadratureResult:
     def __post_init__(self):
         if self.method not in METHODS:
             raise DomainError(f"unknown method {self.method!r}")
-        if not math.isfinite(self.error_estimate) or self.error_estimate < 0:
-            raise DomainError("error estimate must be finite and >= 0")
+        if not (math.isfinite(self.value) and math.isfinite(self.error_estimate)):
+            raise NumericalError(
+                f"non-finite {self.method} result {self.value!r} "
+                f"(error estimate {self.error_estimate!r})"
+            )
+        if self.error_estimate < 0:
+            raise DomainError("error estimate must be >= 0")
         if self.evaluations <= 0:
             raise DomainError("evaluation count must be positive")
 
@@ -115,7 +124,12 @@ def _strip_sum(f, pair, n, method) -> QuadratureResult:
 
 
 def _kernel_form(f, k, t, budget, abs_tol, rel_tol) -> QuadratureResult:
-    """(1/Gamma(k)) int_0^t (t - tau)**(k-1) f(tau) dtau, the raw kernel form."""
+    """(1/Gamma(k)) int_0^t (t - tau)**(k-1) f(tau) dtau, the raw kernel form.
+
+    The weight is ((t - tau)/t)**(k-1), at most 1 for k >= 1, and the factor
+    t**(k-1)/Gamma(k) goes into the scale through logarithms, so neither
+    overflows before the two meet.
+    """
 
     def kernel(tau):
         arr = np.asarray(tau, dtype=float)
@@ -123,10 +137,11 @@ def _kernel_form(f, k, t, budget, abs_tol, rel_tol) -> QuadratureResult:
         vals = np.asarray(evaluate(f, arr))
         # node rounding can land exactly on t; the point has measure zero
         with np.errstate(divide="ignore", over="ignore"):
-            weight = np.where(diff > 0.0, diff, 1.0) ** (k - 1.0)
+            weight = np.where(diff > 0.0, diff / t, 1.0) ** (k - 1.0)
         return np.where(diff > 0.0, weight * vals, 0.0)
 
-    scale = recip_gamma(k)
+    with np.errstate(over="ignore"):  # an overflowing scale is inf, which QuadratureResult refuses
+        scale = float(np.exp((k - 1.0) * math.log(t) - math.lgamma(k)))
     raw, err, evals = adaptive_quadrature(kernel, 0.0, t, abs_tol, rel_tol, budget)
     return QuadratureResult(scale * raw, scale * err, "direct", evals)
 

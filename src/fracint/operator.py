@@ -5,7 +5,6 @@ composition (the order-addition law I^a I^b = I^(a+b)).
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,14 +173,7 @@ def compose(
     inner = np.empty_like(nodes)
     inner[0] = 0.0  # the inner integral vanishes at the base point
     for k in range(1, len(nodes)):
-        inner[k] = op_inner.apply(f, nodes[k]).value
-    if not np.all(np.isfinite(inner)):
-        warnings.warn(
-            "non-finite inner values degrade the composition interpolant",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        inner = np.nan_to_num(inner)
+        inner[k] = op_inner.apply(f, nodes[k]).value  # finite, or apply raises
 
     spline = not_a_knot_spline(nodes, inner)
     interpolant = Integrand(

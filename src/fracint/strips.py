@@ -3,7 +3,8 @@
 A geometry holds n+1 boundary polylines (horizontal translates of the left
 boundary curve, clipped against the integrand curve), the per-strip areas
 f(x2_i) * dx1 of the equal-width strip decomposition, and the region outline
-(the integrand curve plus the rightmost boundary).
+(the integrand curve plus the rightmost boundary).  It is geometry only: the
+region's exact area is the operator's value, FractionalOperator(alpha).apply.
 """
 
 from dataclasses import dataclass
@@ -11,10 +12,9 @@ from typing import Optional
 
 import numpy as np
 
-from .engines import make_partition, transformed_riemann
+from .engines import make_partition
 from .errors import DomainError, IncompatibleSamplingError, NonMonotoneError
 from .integrand import INCREASING, Integrand, check_inverse, evaluate, inverse_value
-from .quadrature import DEFAULT_ABS_TOL, DEFAULT_BUDGET, DEFAULT_REL_TOL
 from .transforms import TransformPair, validate_horizon, validate_order
 
 
@@ -29,7 +29,6 @@ class StripGeometry:
     boundaries: tuple     # n+1 clipped polylines, each an (m_i, 2) array of (x, y)
     heights: np.ndarray   # clip height f(x2_i) of each boundary, length n+1
     strip_areas: np.ndarray
-    total_area: float
     region_outline: np.ndarray  # integrand curve ascending, right edge descending
 
     @property
@@ -57,7 +56,7 @@ def _require_increasing_from_zero(f: Integrand, t: float) -> float:
     return ft
 
 
-def _assemble(f, alpha, t, width, n, base_xs, ys, x2, heights, total_area, samples):
+def _assemble(f, alpha, t, width, n, base_xs, ys, x2, heights, samples):
     strip_width = width / n
     ft = ys[-1]
     y_tol = 1e-12 * max(1.0, ft)
@@ -87,7 +86,6 @@ def _assemble(f, alpha, t, width, n, base_xs, ys, x2, heights, total_area, sampl
         boundaries=tuple(boundaries),
         heights=heights,
         strip_areas=heights[:n] * strip_width,
-        total_area=total_area,
         region_outline=outline,
     )
 
@@ -97,9 +95,6 @@ def build_strips(
     pair: TransformPair,
     n: int,
     samples_per_curve: int = 200,
-    budget: int = DEFAULT_BUDGET,
-    abs_tol: float = DEFAULT_ABS_TOL,
-    rel_tol: float = DEFAULT_REL_TOL,
 ) -> StripGeometry:
     """Decompose the region for (f, alpha, t) into n equal-width strips.
 
@@ -115,22 +110,21 @@ def build_strips(
     base_xs = pair.left_boundary(f, ys)
     x2 = make_partition(pair, n).tau
     heights = evaluate(f, x2)
-    total = transformed_riemann(f, pair, budget, abs_tol, rel_tol).value
     return _assemble(
-        f, pair.alpha, pair.t, pair.width, int(n), base_xs, ys, x2, heights, total,
+        f, pair.alpha, pair.t, pair.width, int(n), base_xs, ys, x2, heights,
         int(samples_per_curve),
     )
 
 
 def _identity_geometry(f: Integrand, t: float, samples: int) -> StripGeometry:
     # order 0: the integrator collapses, the left boundary is the integrand
-    # curve itself, the span is exactly 1, and the area is f(t)
+    # curve itself, and the span is exactly 1
     ft = _require_increasing_from_zero(f, t)
     ys = np.linspace(0.0, ft, samples)
     base_xs = np.atleast_1d(np.asarray(inverse_value(f, ys, t)))
     x2 = np.array([0.0, t])
     heights = np.array([0.0, ft])
-    return _assemble(f, 0.0, t, 1.0, 1, base_xs, ys, x2, heights, ft, samples)
+    return _assemble(f, 0.0, t, 1.0, 1, base_xs, ys, x2, heights, samples)
 
 
 def region_family(
@@ -138,13 +132,10 @@ def region_family(
     alphas,
     horizons,
     samples: int = 200,
-    budget: int = DEFAULT_BUDGET,
-    abs_tol: float = DEFAULT_ABS_TOL,
-    rel_tol: float = DEFAULT_REL_TOL,
 ) -> list:
     """One single-strip geometry per (alpha, t): region outline plus right edge.
 
-    The settings bound each area's adaptive quadrature, as in build_strips.
+    Each region's area is FractionalOperator(alpha).apply(f, t).value.
     """
     alphas = [validate_order(a, allow_zero=True) for a in np.atleast_1d(alphas)]
     horizons = [validate_horizon(t) for t in np.atleast_1d(horizons)]
@@ -156,9 +147,7 @@ def region_family(
             if alpha == 0.0:
                 family.append(_identity_geometry(f, t, samples))
             else:
-                family.append(
-                    build_strips(f, TransformPair(alpha, t), 1, samples, budget, abs_tol, rel_tol)
-                )
+                family.append(build_strips(f, TransformPair(alpha, t), 1, samples))
     return family
 
 

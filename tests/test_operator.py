@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -117,6 +118,12 @@ class TestApply:
         with pytest.raises(DomainError):
             FractionalOperator(0.5, route="simpson")
 
+    @pytest.mark.parametrize("route", ("direct", "transformed"))
+    def test_overflowing_value_raises(self, route):
+        # the panel sums are finite; the 1/Gamma(alpha+1) scale pushes them past the range
+        with pytest.raises(NumericalError):
+            FractionalOperator(0.5, route=route).apply(power_integrand(8e307, 0.0), 4.0)
+
 
 class TestCompose:
     def test_halves_recover_single_integration(self):
@@ -149,6 +156,13 @@ class TestCompose:
     def test_rejects_excessive_total_order(self):
         with pytest.raises(DomainError):
             compose(FractionalOperator(0.7), FractionalOperator(0.7), LINEAR, 1.0)
+
+    def test_overflowing_inner_value_raises(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NumericalError):
+                compose(FractionalOperator(0.5), FractionalOperator(0.5),
+                        power_integrand(8e307, 0.0), 4.0)
 
     def test_rejects_tiny_grid(self):
         with pytest.raises(DomainError):

@@ -384,6 +384,11 @@ class TestRepeatedIntegration:
         with pytest.raises(DomainError):
             cauchy_repeated(CONST, 172, 10.0)
 
+    def test_large_count_and_horizon_do_not_overflow(self):
+        # (t - tau)**170 overflows at t = 90, though 90**171 / 171! is about 1.2e25
+        expected = math.exp(171 * math.log(90.0) - math.lgamma(172))
+        assert cauchy_repeated(CONST, 171, 90.0).value == pytest.approx(expected, rel=1e-9)
+
     def test_oracle_pinned_values(self):
         assert nested_integral_oracle(LINEAR, 2, 1.0) == pytest.approx(1.0 / 6.0, abs=1e-6)
         assert nested_integral_oracle(CONST, 2, 1.0) == pytest.approx(0.5, abs=1e-6)

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
+from fracint import engines
 from fracint.engines import make_partition
 from fracint.errors import (
-    BudgetExhaustedError,
     DomainError,
     IncompatibleSamplingError,
     NonMonotoneError,
 )
 from fracint.integrand import Integrand, evaluate, power_integrand
+from fracint.operator import FractionalOperator
 from fracint.strips import build_strips, region_family, translate_check
 from fracint.transforms import make_transform
 
@@ -55,8 +56,8 @@ class TestBuildStrips:
         pair = make_transform(0.8, 10.0)
         exact = linear_closed_form(0.8, 10.0)
         geom = build_strips(LINEAR, pair, 10_000, samples_per_curve=2)
-        assert geom.total_area == pytest.approx(exact, rel=1e-8)
-        assert geom.strip_area_sum == pytest.approx(geom.total_area, rel=1e-3)
+        assert FractionalOperator(0.8).apply(LINEAR, 10.0).value == pytest.approx(exact, rel=1e-8)
+        assert geom.strip_area_sum == pytest.approx(exact, rel=1e-3)
 
         # left-endpoint inscribed sums start coarse (the first strip has
         # height f(0) = 0) and the gap shrinks roughly like 1/n
@@ -108,6 +109,15 @@ class TestBuildStrips:
         with pytest.raises(DomainError):
             build_strips(lying, make_transform(0.5, 4.0), 3)
 
+    def test_geometry_runs_no_quadrature(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the strip geometry integrated")
+
+        monkeypatch.setattr(engines, "adaptive_quadrature", refuse)
+        geom = build_strips(SQRT, make_transform(0.5, 4.0), 5, 50)
+        assert len(geom.boundaries) == 6
+        assert len(region_family(SQRT, [0.0, 0.5], [4.0], samples=8)) == 2
+
 
 class TestRegionFamily:
     def test_full_grid_areas_match_closed_forms(self):
@@ -118,30 +128,33 @@ class TestRegionFamily:
             for t in HORIZON_GRID:
                 geom = family[index]
                 assert geom.alpha == alpha and geom.t == t
-                assert geom.total_area == pytest.approx(
+                # the region's area is the operator's value at its (alpha, t)
+                assert FractionalOperator(alpha).apply(LINEAR, t).value == pytest.approx(
                     linear_closed_form(alpha, t), rel=1e-8
                 )
                 index += 1
 
     def test_identity_order_region(self):
         geom = region_family(SQRT, [0.0], [9.0], samples=32)[0]
-        assert geom.total_area == pytest.approx(3.0, rel=1e-12)
+        assert FractionalOperator(geom.alpha).apply(SQRT, geom.t).value == pytest.approx(
+            3.0, rel=1e-12
+        )
         assert geom.width == 1.0
+        assert geom.heights[-1] == pytest.approx(3.0, rel=1e-12)
 
     def test_sqrt_unit_order_area(self):
         geom = region_family(SQRT, [1.0], [4.0], samples=8)[0]
-        assert geom.total_area == pytest.approx(16.0 / 3.0, rel=1e-9)
+        assert FractionalOperator(geom.alpha).apply(SQRT, geom.t).value == pytest.approx(
+            16.0 / 3.0, rel=1e-9
+        )
+        assert geom.width == pytest.approx(4.0, rel=1e-12)  # t / Gamma(2)
 
     def test_single_pair_matches_build_strips(self):
         geom = region_family(LINEAR, [0.6], [8.0], samples=64)[0]
         direct = build_strips(LINEAR, make_transform(0.6, 8.0), 1, 64)
-        assert geom.total_area == direct.total_area
+        assert np.array_equal(geom.heights, direct.heights)
         assert len(geom.boundaries) == len(direct.boundaries) == 2
         assert np.allclose(geom.boundaries[-1], direct.boundaries[-1])
-
-    def test_settings_reach_the_area_quadrature(self):
-        with pytest.raises(BudgetExhaustedError):
-            region_family(SQRT, [0.5], [4.0], samples=8, budget=15)
 
     def test_empty_inputs_rejected(self):
         with pytest.raises(DomainError):
