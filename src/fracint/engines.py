@@ -24,7 +24,6 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .gamma import recip_gamma
 from .integrand import Integrand, evaluate
 from .quadrature import (
     DEFAULT_ABS_TOL,
@@ -32,7 +31,7 @@ from .quadrature import (
     DEFAULT_REL_TOL,
     adaptive_quadrature,
 )
-from .transforms import TransformPair, validate_horizon, validate_order
+from .transforms import TransformPair, make_transform, validate_horizon
 
 METHODS = ("direct", "stieltjes", "cavalieri", "transformed", "oracle")
 
@@ -88,19 +87,12 @@ def make_partition(pair: TransformPair, n: int) -> Partition:
     return Partition(transformed=x1, tau=pair.inverse(x1))
 
 
-def _adaptive_core(f, alpha, t, scale, budget, abs_tol, rel_tol, method) -> QuadratureResult:
-    """int_0^{g(t)} f(h(x)) dx as scale * int_0^{t**alpha} f(t - u**(1/alpha)) du.
-
-    ``scale`` is 1/Gamma(alpha+1), passed in so that a caller holding
-    Gamma(alpha+1) already does not evaluate it again.
-    """
-
-    def bounded(u):
-        # np.minimum(np.maximum(...)) is np.clip without its Python wrapper
-        tau = np.minimum(np.maximum(t - np.asarray(u, dtype=float) ** (1.0 / alpha), 0.0), t)
-        return evaluate(f, tau)
-
-    raw, err, evals = adaptive_quadrature(bounded, 0.0, t**alpha, abs_tol, rel_tol, budget)
+def _adaptive_core(f, pair, budget, abs_tol, rel_tol, method) -> QuadratureResult:
+    """int_0^{g(t)} f(h(x)) dx as int_0^{t**alpha} f(pair.tau(u)) du / Gamma(alpha+1)."""
+    raw, err, evals = adaptive_quadrature(
+        lambda u: evaluate(f, pair.tau(u)), 0.0, pair.t**pair.alpha, abs_tol, rel_tol, budget
+    )
+    scale = 1.0 / pair.gamma_alpha_plus_one
     return QuadratureResult(scale * raw, scale * err, method, evals)
 
 
@@ -118,8 +110,6 @@ def _strip_sum(f, pair, n, method) -> QuadratureResult:
         err = abs(value - float(np.dot(heights[::2], np.diff(np.append(x1[:-1:2], x1[-1])))))
     else:
         err = abs(value)
-    if not (np.isfinite(value) and np.isfinite(err)):
-        raise NumericalError(f"non-finite strip sum over {n} strips")
     return QuadratureResult(value, err, method, int(n), n=int(n))
 
 
@@ -163,15 +153,10 @@ def direct_rl(
     raw form, which the interior-node rule tolerates; it is kept as a slower
     cross-check.
     """
-    alpha = validate_order(alpha)
-    t = validate_horizon(t)
-    if budget < 64:
-        raise DomainError(f"direct route needs a budget of at least 64, got {budget}")
+    pair = make_transform(alpha, t)
     if substitute:
-        return _adaptive_core(
-            f, alpha, t, recip_gamma(alpha + 1.0), budget, abs_tol, rel_tol, "direct"
-        )
-    return _kernel_form(f, alpha, t, budget, abs_tol, rel_tol)
+        return _adaptive_core(f, pair, budget, abs_tol, rel_tol, "direct")
+    return _kernel_form(f, pair.alpha, pair.t, budget, abs_tol, rel_tol)
 
 
 def stieltjes_sum(f: Integrand, pair: TransformPair, n: int) -> QuadratureResult:
@@ -199,10 +184,7 @@ def transformed_riemann(
     No kernel singularity survives the transform, so this is the preferred
     high-accuracy route.
     """
-    return _adaptive_core(
-        f, pair.alpha, pair.t, 1.0 / pair.gamma_alpha_plus_one, budget, abs_tol, rel_tol,
-        "transformed",
-    )
+    return _adaptive_core(f, pair, budget, abs_tol, rel_tol, "transformed")
 
 
 def cauchy_repeated(

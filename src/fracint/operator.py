@@ -109,29 +109,35 @@ def not_a_knot_spline(x, y):
     if len(x) < 4 or len(y) != len(x):
         raise DomainError(f"a not-a-knot spline needs >= 4 matching nodes, got {len(x)}")
     dx = np.diff(x)
-    slope = np.diff(y) / dx
-    # row i: lower[i] s[i-1] + diag[i] s[i] + upper[i] s[i+1] = rhs[i]
-    lower = np.concatenate(([0.0], dx[1:], [x[-1] - x[-3]]))
-    diag = np.concatenate(([dx[1]], 2.0 * (dx[:-1] + dx[1:]), [dx[-2]]))
-    upper = np.concatenate(([x[2] - x[0]], dx[:-1], [0.0]))
-    rhs = np.empty_like(x)
-    rhs[1:-1] = 3.0 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
-    rhs[0] = ((dx[0] + 2.0 * upper[0]) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / upper[0]
-    rhs[-1] = (
-        dx[-1] ** 2 * slope[-2] + (2.0 * lower[-1] + dx[-1]) * dx[-2] * slope[-1]
-    ) / lower[-1]
-    # the sweep is sequential, and runs faster on Python floats than on numpy scalars
-    lower, diag, upper, rhs = lower.tolist(), diag.tolist(), upper.tolist(), rhs.tolist()
-    for i in range(1, len(rhs)):
-        w = lower[i] / diag[i - 1]
-        diag[i] -= w * upper[i - 1]
-        rhs[i] -= w * rhs[i - 1]
-    rhs[-1] /= diag[-1]
-    for i in range(len(rhs) - 2, -1, -1):
-        rhs[i] = (rhs[i] - upper[i] * rhs[i + 1]) / diag[i]
-    s = np.array(rhs)  # the slope of the spline at each knot
-    curvature = (s[:-1] + s[1:] - 2.0 * slope) / dx
-    c3, c2, c1, c0 = curvature / dx, (slope - s[:-1]) / dx - curvature, s[:-1], y[:-1]
+    # overflow shows as a non-finite coefficient, refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        slope = np.diff(y) / dx
+        # row i: lower[i] s[i-1] + diag[i] s[i] + upper[i] s[i+1] = rhs[i]
+        lower = np.concatenate(([0.0], dx[1:], [x[-1] - x[-3]]))
+        diag = np.concatenate(([dx[1]], 2.0 * (dx[:-1] + dx[1:]), [dx[-2]]))
+        upper = np.concatenate(([x[2] - x[0]], dx[:-1], [0.0]))
+        rhs = np.empty_like(x)
+        rhs[1:-1] = 3.0 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+        rhs[0] = ((dx[0] + 2.0 * upper[0]) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / upper[0]
+        rhs[-1] = (
+            dx[-1] ** 2 * slope[-2] + (2.0 * lower[-1] + dx[-1]) * dx[-2] * slope[-1]
+        ) / lower[-1]
+        # the sweep is sequential, and runs faster on Python floats than on numpy scalars
+        lower, diag, upper, rhs = lower.tolist(), diag.tolist(), upper.tolist(), rhs.tolist()
+        for i in range(1, len(rhs)):
+            w = lower[i] / diag[i - 1]
+            diag[i] -= w * upper[i - 1]
+            rhs[i] -= w * rhs[i - 1]
+        rhs[-1] /= diag[-1]
+        for i in range(len(rhs) - 2, -1, -1):
+            rhs[i] = (rhs[i] - upper[i] * rhs[i + 1]) / diag[i]
+        s = np.array(rhs)  # the slope of the spline at each knot
+        curvature = (s[:-1] + s[1:] - 2.0 * slope) / dx
+        c3, c2, c1, c0 = curvature / dx, (slope - s[:-1]) / dx - curvature, s[:-1], y[:-1]
+    if not np.all(np.isfinite([c3, c2, c1, c0])):
+        raise NumericalError(
+            f"not-a-knot spline through {len(x)} nodes has non-finite coefficients"
+        )
 
     def spline(points):
         points = np.asarray(points, dtype=float)

@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from .engines import make_partition
-from .errors import DomainError, IncompatibleSamplingError, NonMonotoneError
+from .errors import DomainError, IncompatibleSamplingError, NonMonotoneError, NumericalError
 from .integrand import INCREASING, Integrand, check_inverse, evaluate, inverse_value
 from .transforms import TransformPair, validate_horizon, validate_order
 
@@ -47,7 +47,10 @@ def _require_increasing_from_zero(f: Integrand, t: float) -> float:
         raise NonMonotoneError(
             f"strip geometry needs a strictly increasing integrand, got {f.label!r}"
         )
-    ft = float(evaluate(f, t))
+    with np.errstate(over="ignore", invalid="ignore"):
+        ft = float(evaluate(f, t))
+    if not np.isfinite(ft):
+        raise NumericalError(f"integrand value f({t:g}) = {ft!r} is not finite")
     f0 = float(evaluate(f, 0.0))
     if abs(f0) > 1e-12 * max(1.0, abs(ft)):
         raise DomainError(f"integrand must vanish at 0, got f(0) = {f0:g}")

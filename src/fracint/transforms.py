@@ -9,6 +9,10 @@ inverse is
 
     h(x) = t - (t**alpha - Gamma(alpha + 1) * x) ** (1 / alpha).
 
+On the axis u = t**alpha - Gamma(alpha + 1) * x, h is tau(u) = t - u**(1/alpha).
+``TransformPair.tau`` is its one implementation: ``inverse`` places the strips
+with it, and the adaptive core integrates f(tau(u)) over [0, t**alpha].
+
 The strip boundary curves derived from a monotone integrand f are
 
     left(y)  = f^{-1}(y) - g(f^{-1}(y))
@@ -20,9 +24,6 @@ import numpy as np
 from .errors import DomainError
 from .gamma import gamma
 from .integrand import Integrand, inverse_value
-
-# Absolute tolerance for the inverse-transform radicand near the right endpoint.
-RADICAND_TOLERANCE = 1e-12
 
 
 def validate_order(alpha: float, allow_zero: bool = False) -> float:
@@ -71,15 +72,19 @@ class TransformPair:
             return float(out)
         return out
 
+    def tau(self, u):
+        """h on the u axis: t - u**(1/alpha), clipped to [0, t], for u in [0, t**alpha]."""
+        # np.minimum(np.maximum(...)) is np.clip without its Python wrapper; u is not
+        # wrapped in np.asarray, whose 0-d pow rounds a scalar u differently
+        return np.minimum(np.maximum(self.t - u ** (1.0 / self.alpha), 0.0), self.t)
+
     def inverse(self, x):
         """h(x) on [0, t**alpha / Gamma(alpha + 1)]; inverse of forward."""
         arr = np.asarray(x, dtype=float)
-        t, a = self.t, self.alpha
-        radicand = t**a - self.gamma_alpha_plus_one * arr
-        if np.any(radicand < -RADICAND_TOLERANCE) or np.any(arr < -RADICAND_TOLERANCE):
+        slack = 1e-12 * self.width
+        if np.any(arr < -slack) or np.any(arr > self.width + slack):
             raise DomainError(f"x outside [0, {self.width:g}]")
-        radicand = np.maximum(radicand, 0.0)
-        out = np.clip(t - radicand ** (1.0 / a), 0.0, t)
+        out = self.tau(np.maximum(self.t**self.alpha - self.gamma_alpha_plus_one * arr, 0.0))
         if np.asarray(x).ndim == 0:
             return float(out)
         return out

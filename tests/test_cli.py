@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
+import fracint
 from fracint import cli, engines
 from fracint.cli import main
 from fracint.operator import DEFAULT_COMPOSE_GRID, DEFAULT_SUM_N
@@ -57,6 +62,25 @@ def test_subcommand_options(command):
         for option in action.option_strings
     } - {"-h", "--help"}
     assert offered == OPTIONS[command]
+
+
+@pytest.mark.parametrize("argv", (
+    ["gamma", "--x", "0.5"],
+    ["compute", "--method", "cavalieri", "--alpha", "0.85", "--t", "1e6", "--n", "1000"],
+))
+def test_console_script_entry_point(argv):
+    # run [project.scripts] fracint the way its generated wrapper does
+    tomllib = pytest.importorskip("tomllib")
+    src = os.path.dirname(os.path.dirname(fracint.__file__))
+    with open(os.path.join(os.path.dirname(src), "pyproject.toml"), "rb") as fh:
+        module, function = tomllib.load(fh)["project"]["scripts"]["fracint"].split(":")
+    code = f"import sys; from {module} import {function}; sys.exit({function}())"
+    completed = subprocess.run(
+        [sys.executable, "-c", code, *argv], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True,
+    )
+    assert (completed.returncode, completed.stderr) == (0, "")
+    assert completed.stdout
 
 
 class TestGammaCommand:
@@ -141,6 +165,11 @@ class TestComputeCommand:
         # width 1e-320 over 100 000 strips rounds the step to zero
         assert run(["compute", "--alpha", "1", "--t", "1e-320", "--method", "cavalieri"]) == 2
         assert "strictly increasing" in capsys.readouterr().err
+
+    def test_partition_ending_at_its_width_exits_0(self, capsys):
+        # Gamma(alpha+1) * width rounds above t**alpha by more than 1e-12 here
+        assert run(["compute", "--method", "cavalieri", "--alpha", "0.85", "--t", "1e6",
+                    "--n", "1000"]) == 0
 
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as info:
@@ -298,6 +327,18 @@ class TestCurvesCommand:
         assert marker["area_marker"] == point["value"]
 
 
+@pytest.mark.parametrize("command", (
+    ["regions", "--samples", "4"],
+    ["strips"],
+))
+def test_overflowing_integrand_exits_3_before_sampling(command, capsys):
+    # f(4) = 3.2e308 is past the largest double
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(command + ["--f", "pow:8e307:1", "--alpha", "0.5", "--t", "4"]) == 3
+    assert capsys.readouterr().err == "fracint: integrand value f(4) = inf is not finite\n"
+
+
 class TestSemigroupCommand:
     def parse(self, text):
         return {line.split("=")[0]: float(line.split("=")[1])
@@ -318,6 +359,15 @@ class TestSemigroupCommand:
     def test_excessive_order_exits_2(self, capsys):
         assert run(["semigroup", "--alpha", "0.7", "--beta", "0.7", "--t", "1"]) == 2
         assert "exceeds the supported domain" in capsys.readouterr().err
+
+    def test_overflowing_spline_exits_3(self, capsys):
+        # the inner values are finite, their divided differences are not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(["semigroup", "--f", "pow:1e307:0", "--alpha", "0.25",
+                        "--beta", "0.25", "--t", "100"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("fracint: not-a-knot spline") and err.count("\n") == 1
 
 
 class TestConfigFile:

@@ -118,9 +118,11 @@ class TestApply:
         with pytest.raises(DomainError):
             FractionalOperator(0.5, route="simpson")
 
-    @pytest.mark.parametrize("route", ("direct", "transformed"))
+    @pytest.mark.parametrize("route", ("direct", "transformed", "stieltjes", "cavalieri"))
     def test_overflowing_value_raises(self, route):
-        # the panel sums are finite; the 1/Gamma(alpha+1) scale pushes them past the range
+        # the panel sums are finite, and the 1/Gamma(alpha+1) scale pushes them past
+        # the range; the strip sums overflow in the dot product.  QuadratureResult
+        # refuses every one.
         with pytest.raises(NumericalError):
             FractionalOperator(0.5, route=route).apply(power_integrand(8e307, 0.0), 4.0)
 
@@ -208,6 +210,14 @@ class TestNotAKnotSpline:
     def test_rejects_too_few_nodes(self):
         with pytest.raises(DomainError):
             not_a_knot_spline([0.0, 1.0, 2.0], [0.0, 1.0, 4.0])
+
+    def test_overflowing_slopes_raise_without_warnings(self):
+        # finite values whose divided differences overflow
+        nodes = chebyshev_nodes(16, 1e-3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NumericalError, match="not-a-knot spline"):
+                not_a_knot_spline(nodes, np.where(np.arange(16) % 2, 1e307, -1e307))
 
 
 def test_compose_loads_no_scipy():

@@ -12,7 +12,7 @@ from fracint.engines import (
     stieltjes_sum,
     transformed_riemann,
 )
-from fracint.errors import BudgetExhaustedError, DomainError, NumericalError
+from fracint.errors import BudgetExhaustedError, DomainError, FracintError, NumericalError
 from fracint.integrand import Integrand, power_integrand
 from fracint.operator import FractionalOperator
 from fracint.integrand import evaluate
@@ -270,7 +270,24 @@ class TestDirectRoute:
         with pytest.raises(DomainError):
             direct_rl(LINEAR, 0.0, 1.0)
         with pytest.raises(DomainError):
-            direct_rl(LINEAR, 0.5, 1.0, budget=32)
+            direct_rl(LINEAR, 0.5, 1.0, budget=14)
+
+    @pytest.mark.parametrize("budget", (15, 30, 45))
+    @pytest.mark.parametrize("f", (CONST, LINEAR, SQRT))
+    def test_small_budgets_match_the_transformed_route(self, budget, f):
+        # one adaptive core: the same budget gives the same bits or the same failure
+        def outcome(route):
+            try:
+                result = route()
+            except FracintError as exc:
+                return type(exc)
+            return result.value, result.error_estimate, result.evaluations
+
+        direct = outcome(lambda: direct_rl(f, 0.3, 10.0, budget=budget))
+        transformed = outcome(
+            lambda: transformed_riemann(f, make_transform(0.3, 10.0), budget=budget)
+        )
+        assert direct == transformed
 
     def test_budget_exhaustion(self):
         with pytest.raises(BudgetExhaustedError):
@@ -436,6 +453,18 @@ class TestPartition:
         pair = make_transform(0.5, 4.0)
         with pytest.raises(DomainError):
             make_partition(pair, 0)
+
+    @pytest.mark.parametrize(
+        "alpha, t", [(0.85, 1e6), (0.6198855958466016, 16670556.346037818)]
+    )
+    def test_wide_partitions_end_at_t(self, alpha, t):
+        # Gamma(alpha+1) * width rounds above t**alpha here by more than 1e-12
+        pair = make_transform(alpha, t)
+        part = make_partition(pair, 1000)
+        assert part.tau[-1] == t
+        result = cavalieri_sum(LINEAR, pair, 1000)
+        exact = t ** (1.0 + alpha) / math.gamma(2.0 + alpha)
+        assert result.value == pytest.approx(exact, rel=1e-2)
 
 
 class TestEvaluate:

@@ -96,6 +96,37 @@ def test_radicand_clamping_near_right_endpoint():
     assert pair.inverse(pair.width + 1e-13) == pytest.approx(4.0, rel=1e-12)
 
 
+# (0.6198855958466016, 16670556.346037818) came from a random search: there
+# Gamma(alpha+1) * width rounds above t**alpha by more than 1e-12
+WIDE_PAIRS = [(0.85, 1e6), (0.6198855958466016, 16670556.346037818)]
+
+
+@pytest.mark.parametrize("alpha, t", WIDE_PAIRS)
+def test_inverse_accepts_its_own_right_end(alpha, t):
+    pair = make_transform(alpha, t)
+    assert pair.inverse(pair.width) == t
+    assert pair.inverse(np.array([0.0, pair.width]))[-1] == t
+
+
+def test_inverse_slack_scales_with_the_width():
+    pair = make_transform(1.0, 1e-14)
+    assert pair.inverse(pair.width) == 1e-14
+    with pytest.raises(DomainError):
+        pair.inverse(2e-14)
+    with pytest.raises(DomainError):
+        pair.inverse(-1e-14)
+
+
+@pytest.mark.parametrize("alpha, t", [(0.37, 7.0), (0.5, 4.0), (1.0, 2.0)])
+def test_inverse_is_tau_on_the_u_axis(alpha, t):
+    pair = make_transform(alpha, t)
+    xs = np.linspace(0.0, pair.width, 9)
+    us = t**alpha - pair.gamma_alpha_plus_one * xs
+    assert np.array_equal(pair.inverse(xs), pair.tau(np.maximum(us, 0.0)))
+    assert pair.tau(0.0) == t
+    assert pair.tau(t**alpha) == pytest.approx(0.0, abs=1e-14 * t)
+
+
 def test_left_boundary_values():
     # order 1: the left boundary collapses onto the y-axis
     pair = make_transform(1.0, 7.0)
