@@ -113,6 +113,8 @@ def cmd_gamma(args) -> None:
 
 def cmd_transform(args) -> None:
     pair = make_transform(args.alpha, args.t)
+    if args.samples < 2:
+        raise DomainError(f"need at least 2 samples per curve, got {args.samples}")
     taus = np.linspace(0.0, pair.t, args.samples)
     xs = np.linspace(0.0, pair.width, args.samples)
     g_block = ["tau,g"] + [
@@ -157,6 +159,8 @@ def cmd_compute(args) -> None:
 
 def cmd_compare(args) -> None:
     f = parse_integrand(args.f)
+    if not (np.isfinite(args.tolerance) and args.tolerance >= 0.0):
+        raise DomainError(f"tolerance must be finite and >= 0, got {args.tolerance!r}")
     routes = ("direct", "stieltjes", "cavalieri", "transformed")
     results = {}
     all_consistent = True

@@ -105,11 +105,12 @@ def _strip_sum(f, pair, n, method) -> QuadratureResult:
     part = make_partition(pair, n)
     x1 = part.transformed
     heights = np.atleast_1d(np.asarray(evaluate(f, part.tau[:-1])))
-    value = float(np.dot(heights, np.diff(x1)))
-    if len(heights) > 1:
-        err = abs(value - float(np.dot(heights[::2], np.diff(np.append(x1[:-1:2], x1[-1])))))
-    else:
-        err = abs(value)
+    with np.errstate(over="ignore", invalid="ignore"):  # QuadratureResult refuses a non-finite sum
+        value = float(np.dot(heights, np.diff(x1)))
+        if len(heights) > 1:
+            err = abs(value - float(np.dot(heights[::2], np.diff(np.append(x1[:-1:2], x1[-1])))))
+        else:
+            err = abs(value)
     return QuadratureResult(value, err, method, int(n), n=int(n))
 
 
@@ -198,11 +199,12 @@ def cauchy_repeated(
     """n-th antiderivative based at 0 through the single polynomial-kernel integral.
 
     (1/(n-1)!) int_0^t (t - tau)**(n-1) f(tau) dtau
+
+    (n-1)! is never formed, so any n >= 1 works; a result below the smallest
+    double comes back as 0.0, the nearest double (e.g. n = 1000 with t = 1).
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise DomainError(f"repetition count must be a positive integer, got {n!r}")
-    if n > 171:
-        raise DomainError(f"repetition count must be <= 171 ((n-1)! overflows), got {n}")
     return _kernel_form(f, n, validate_horizon(t), budget, abs_tol, rel_tol)
 
 

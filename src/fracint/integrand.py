@@ -128,16 +128,3 @@ def bisect_monotone(fn, targets, lo: float, hi: float, tol: float = 0.0, increas
         return float(root[0])
     return root
 
-
-def check_inverse(f: Integrand, upper: float, samples: int = 17, tol: float = 1e-10) -> None:
-    """Verify f(f^{-1}(y)) = y on a sampled range; raises DomainError on mismatch."""
-    ft = evaluate(f, upper)
-    f0 = evaluate(f, 0.0)
-    ys = np.linspace(min(f0, ft), max(f0, ft), samples)
-    taus = inverse_value(f, ys, upper)
-    resid = np.max(np.abs(evaluate(f, taus) - ys))
-    scale = max(1.0, abs(ft), abs(f0))
-    if resid > tol * scale:
-        raise DomainError(
-            f"inverse of {f.label!r} fails round-trip check (residual {resid:.3e})"
-        )

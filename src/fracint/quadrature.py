@@ -10,6 +10,7 @@ endpoint itself.  Everything here is deterministic: same inputs, same bits.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -120,6 +121,8 @@ def adaptive_quadrature(
         raise DomainError("integration limits must be finite")
     if hi < lo:
         raise DomainError(f"inverted integration interval [{lo:g}, {hi:g}]")
+    if not (abs_tol >= 0.0 and rel_tol >= 0.0):  # also refuses NaN
+        raise DomainError(f"tolerances must be >= 0, got abs_tol={abs_tol!r}, rel_tol={rel_tol!r}")
     if hi == lo:
         return 0.0, 0.0, 0
     if budget < 15:
@@ -203,14 +206,15 @@ class CavalieriRegion:
 
     The equivalent integrator is g(x) = x - left(f(x)) + left(0), which maps
     the curvilinear abscissae [lower_abscissa, upper_abscissa] onto the
-    x-axis footprint [left(0), left(0) + width].
+    x-axis footprint [left(0), left(0) + width].  The footprint and both
+    corners are found once per region; ``inverse`` bisects between them.
     """
 
     f: Callable
     left: Callable
     width: float
 
-    @property
+    @cached_property
     def footprint(self):
         a0 = float(evaluate(self.left, 0.0))
         return a0, a0 + self.width
@@ -223,28 +227,27 @@ class CavalieriRegion:
             return float(out)
         return out
 
-    def _corner_bracket(self):
+    @cached_property
+    def _corners(self):
+        # one bisection for both ends of the footprint, on a bracket that holds them
         a0, b0 = self.footprint
         span = abs(self.width) + abs(a0) + abs(b0) + 1.0
-        return min(0.0, a0) - span, b0 + span
+        lower, upper = bisect_monotone(self.integrator, [a0, b0], min(0.0, a0) - span, b0 + span)
+        return float(lower), float(upper)
 
     @property
     def lower_abscissa(self) -> float:
         """x where the left side meets f (solves g(x) = left(0))."""
-        a0, _ = self.footprint
-        lo, hi = self._corner_bracket()
-        return bisect_monotone(self.integrator, a0, lo, hi)
+        return self._corners[0]
 
     @property
     def upper_abscissa(self) -> float:
         """x where the right side meets f (solves g(x) = left(0) + width)."""
-        _, b0 = self.footprint
-        lo, hi = self._corner_bracket()
-        return bisect_monotone(self.integrator, b0, lo, hi)
+        return self._corners[1]
 
     def inverse(self, x):
         """h = g^{-1}, found by bisection between the corner abscissae."""
-        return bisect_monotone(self.integrator, x, self.lower_abscissa, self.upper_abscissa)
+        return bisect_monotone(self.integrator, x, *self._corners)
 
     def area(
         self,
@@ -263,10 +266,7 @@ class CavalieriRegion:
 
     def lower_sum(self, n: int) -> float:
         """Left-endpoint strip sum: sum f(h(x_i)) * dx over n equal-width strips."""
-        if n < 1:
-            raise DomainError(f"strip count must be >= 1, got {n}")
         a0, b0 = self.footprint
-        x1 = np.linspace(a0, b0, int(n) + 1)
-        x2 = self.inverse(x1[:-1])
-        heights = np.atleast_1d(np.asarray(evaluate(self.f, x2)))
-        return float(np.dot(heights, np.diff(x1)))
+        return stieltjes_riemann_sum(
+            lambda x: evaluate(self.f, self.inverse(x)), lambda x: x, a0, b0, n
+        )

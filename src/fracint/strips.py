@@ -5,16 +5,19 @@ boundary curve, clipped against the integrand curve), the per-strip areas
 f(x2_i) * dx1 of the equal-width strip decomposition, and the region outline
 (the integrand curve plus the rightmost boundary).  It is geometry only: the
 region's exact area is the operator's value, FractionalOperator(alpha).apply.
+Every order, 0 included, goes through one builder that checks the sample
+count and the integrand once.
 """
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
 from .engines import make_partition
 from .errors import DomainError, IncompatibleSamplingError, NonMonotoneError, NumericalError
-from .integrand import INCREASING, Integrand, check_inverse, evaluate, inverse_value
+from .integrand import INCREASING, Integrand, evaluate, inverse_value
 from .transforms import TransformPair, validate_horizon, validate_order
 
 
@@ -54,14 +57,26 @@ def _require_increasing_from_zero(f: Integrand, t: float) -> float:
     f0 = float(evaluate(f, 0.0))
     if abs(f0) > 1e-12 * max(1.0, abs(ft)):
         raise DomainError(f"integrand must vanish at 0, got f(0) = {f0:g}")
-    if f.inverse is not None:
-        check_inverse(f, t)
+    if f.inverse is not None:  # round trip f(f^{-1}(y)) = y at 17 heights
+        ys = np.linspace(min(f0, ft), max(f0, ft), 17)
+        resid = np.max(np.abs(evaluate(f, evaluate(f.inverse, ys)) - ys))
+        if resid > 1e-10 * max(1.0, abs(ft), abs(f0)):
+            raise DomainError(
+                f"inverse of {f.label!r} fails round-trip check (residual {resid:.3e})"
+            )
     return ft
 
 
-def _assemble(f, alpha, t, width, n, base_xs, ys, x2, heights, samples):
+def _assemble(f, alpha, t, width, n, left, x2, samples) -> StripGeometry:
+    """n strips of width width/n: left(f, y) shifted by i * width/n, clipped at f(x2_i)."""
+    if samples < 2:
+        raise DomainError(f"need at least 2 samples per curve, got {samples}")
+    samples = int(samples)
+    ft = _require_increasing_from_zero(f, t)
+    ys = np.linspace(0.0, ft, samples)
+    base_xs = left(f, ys)
+    heights = evaluate(f, x2)
     strip_width = width / n
-    ft = ys[-1]
     y_tol = 1e-12 * max(1.0, ft)
 
     boundaries = []
@@ -105,29 +120,10 @@ def build_strips(
     truncated where it meets the integrand curve; by construction that happens
     at (x2_i, f(x2_i)) with x2_i the image of the i-th partition point.
     """
-    if samples_per_curve < 2:
-        raise DomainError(f"need at least 2 samples per curve, got {samples_per_curve}")
-    ft = _require_increasing_from_zero(f, pair.t)
-
-    ys = np.linspace(0.0, ft, samples_per_curve)
-    base_xs = pair.left_boundary(f, ys)
     x2 = make_partition(pair, n).tau
-    heights = evaluate(f, x2)
     return _assemble(
-        f, pair.alpha, pair.t, pair.width, int(n), base_xs, ys, x2, heights,
-        int(samples_per_curve),
+        f, pair.alpha, pair.t, pair.width, int(n), pair.left_boundary, x2, samples_per_curve
     )
-
-
-def _identity_geometry(f: Integrand, t: float, samples: int) -> StripGeometry:
-    # order 0: the integrator collapses, the left boundary is the integrand
-    # curve itself, and the span is exactly 1
-    ft = _require_increasing_from_zero(f, t)
-    ys = np.linspace(0.0, ft, samples)
-    base_xs = np.atleast_1d(np.asarray(inverse_value(f, ys, t)))
-    x2 = np.array([0.0, t])
-    heights = np.array([0.0, ft])
-    return _assemble(f, 0.0, t, 1.0, 1, base_xs, ys, x2, heights, samples)
 
 
 def region_family(
@@ -148,7 +144,9 @@ def region_family(
     for alpha in alphas:
         for t in horizons:
             if alpha == 0.0:
-                family.append(_identity_geometry(f, t, samples))
+                # order 0: the left boundary is the integrand curve itself, the span is 1
+                left = partial(inverse_value, upper=t)
+                family.append(_assemble(f, 0.0, t, 1.0, 1, left, np.array([0.0, t]), samples))
             else:
                 family.append(build_strips(f, TransformPair(alpha, t), 1, samples))
     return family

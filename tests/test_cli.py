@@ -118,6 +118,13 @@ class TestTransformCommand:
     def test_degenerate_order_rejected(self, capsys):
         assert run(["transform", "--alpha", "0", "--t", "4"]) == 2
 
+    @pytest.mark.parametrize("samples", ("-1", "0", "1"))
+    def test_too_few_samples_exit_2(self, samples, capsys):
+        assert run(["transform", "--alpha", "0.5", "--t", "4", "--samples", samples]) == 2
+        assert capsys.readouterr().err == (
+            f"fracint: need at least 2 samples per curve, got {samples}\n"
+        )
+
 
 class TestComputeCommand:
     def test_header_and_anchor_value(self, tmp_path):
@@ -171,6 +178,24 @@ class TestComputeCommand:
         assert run(["compute", "--method", "cavalieri", "--alpha", "0.85", "--t", "1e6",
                     "--n", "1000"]) == 0
 
+    def test_overflowing_strip_sum_exits_3_with_one_line(self, capsys):
+        # the strip sum of 8e307 over a width of 2.26 overflows in the dot product
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(["compute", "--method", "cavalieri", "--f", "pow:8e307:0",
+                        "--alpha", "0.5", "--t", "4"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("fracint: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("tolerances", (
+        ["--abs-tol", "nan"],
+        ["--rel-tol", "nan"],
+        ["--abs-tol", "-1", "--rel-tol", "-1"],
+    ))
+    def test_unmeetable_tolerances_exit_2(self, tolerances, capsys):
+        assert run(["compute", "--alpha", "0.5", "--t", "1"] + tolerances) == 2
+        assert "tolerances must be >= 0" in capsys.readouterr().err
+
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as info:
             run(["compute", "--frobnicate", "1"])
@@ -205,6 +230,14 @@ class TestCompareCommand:
         assert run(["compare", "--alpha", "0.5", "--t", "1", "--n", "100",
                     "--tolerance", "1e-12", "--out", str(out)]) == 0
         assert json.loads(out.read_text())["consistent"] is False
+
+    @pytest.mark.parametrize("tolerance", ("nan", "-1", "inf"))
+    def test_unusable_tolerance_exits_2(self, tolerance, tmp_path, capsys):
+        out = tmp_path / "compare.json"
+        assert run(["compare", "--alpha", "0.5", "--t", "1", "--n", "100",
+                    "--tolerance", tolerance, "--out", str(out)]) == 2
+        assert "tolerance must be finite and >= 0" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestStripsCommand:
@@ -280,6 +313,11 @@ class TestRegionsCommand:
     def test_budget_reaches_the_areas(self, capsys):
         assert run(["regions", "--budget", "15"]) == 3
         assert "budget 15 exhausted" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("samples", ("-1", "0", "1"))
+    def test_identity_order_with_too_few_samples_exits_2(self, samples, capsys):
+        assert run(["regions", "--alpha", "0", "--t", "2", "--samples", samples]) == 2
+        assert "need at least 2 samples per curve" in capsys.readouterr().err
 
 
 class TestCurvesCommand:

@@ -13,7 +13,7 @@ from fracint.engines import (
     transformed_riemann,
 )
 from fracint.errors import BudgetExhaustedError, DomainError, FracintError, NumericalError
-from fracint.integrand import Integrand, power_integrand
+from fracint.integrand import BISECTION_ITERATIONS, Integrand, power_integrand
 from fracint.operator import FractionalOperator
 from fracint.integrand import evaluate
 from fracint.quadrature import (
@@ -88,6 +88,15 @@ class TestAdaptiveEngine:
         with pytest.raises(NumericalError):
             adaptive_quadrature(infinite, 0.0, 1.0)
         assert calls == [15]  # raised on the first panel, without bisecting
+
+    @pytest.mark.parametrize("abs_tol, rel_tol", ((np.nan, 1e-10), (1e-10, np.nan), (-1.0, -1.0)))
+    def test_unmeetable_tolerances_rejected(self, abs_tol, rel_tol):
+        with pytest.raises(DomainError):
+            adaptive_quadrature(np.exp, 0.0, 1.0, abs_tol, rel_tol)
+
+    def test_zero_and_infinite_tolerances_accepted(self):
+        assert adaptive_quadrature(np.exp, 0.0, 1.0, 0.0, np.inf)[2] == 15
+        assert adaptive_quadrature(np.exp, 0.0, 1.0, np.inf, 0.0)[2] == 15
 
     def test_deterministic(self):
         first = adaptive_quadrature(lambda x: np.sin(x) / (1 + x), 0.0, 5.0)
@@ -241,6 +250,23 @@ class TestCavalieriRegion:
         gaps = [abs(self.region.lower_sum(n) - 3.75) for n in (100, 1000, 10_000)]
         assert gaps[0] > gaps[1] > gaps[2]
 
+    def test_lower_sum_refuses_no_strips(self):
+        with pytest.raises(DomainError, match="partition size must be >= 1, got 0"):
+            self.region.lower_sum(0)
+
+    def test_corners_are_found_once(self):
+        calls = []
+
+        def left(y):
+            calls.append(1)
+            return self.region.left(y)
+
+        region = CavalieriRegion(f=self.region.f, left=left, width=self.region.width)
+        region.inverse(1.7)
+        calls.clear()
+        region.inverse(1.7)
+        assert len(calls) == BISECTION_ITERATIONS
+
 
 class TestDirectRoute:
     @pytest.mark.parametrize("t", (1.0, 4.0, 10.0))
@@ -393,13 +419,15 @@ class TestRepeatedIntegration:
             with pytest.raises(DomainError):
                 cauchy_repeated(LINEAR, bad, 1.0)
 
-    def test_largest_count_before_the_factorial_overflows(self):
-        # 10**171 / 171! is about 8e-139: the scale underflows only past 171
+    def test_counts_past_the_factorial_overflow(self):
+        # 10**171 / 171! is about 8e-139; no factorial is formed, so 172 works too
         assert cauchy_repeated(CONST, 171, 10.0).value == pytest.approx(
             10.0**171 / 171 / math.factorial(170), rel=1e-12
         )
-        with pytest.raises(DomainError):
-            cauchy_repeated(CONST, 172, 10.0)
+        expected = math.exp(172 * math.log(10.0) - math.lgamma(173))
+        assert cauchy_repeated(CONST, 172, 10.0).value == pytest.approx(expected, rel=1e-9)
+        # 1/999! is below the smallest double: the nearest double is 0.0
+        assert cauchy_repeated(CONST, 1000, 1.0).value == 0.0
 
     def test_large_count_and_horizon_do_not_overflow(self):
         # (t - tau)**170 overflows at t = 90, though 90**171 / 171! is about 1.2e25

@@ -160,6 +160,10 @@ class TestRegionFamily:
         with pytest.raises(DomainError):
             region_family(LINEAR, [], [2.0])
 
+    def test_identity_order_with_too_few_samples_rejected(self):
+        with pytest.raises(DomainError, match="need at least 2 samples per curve"):
+            region_family(SQRT, [0.0], [9.0], samples=1)
+
 
 class TestTranslateCheck:
     def test_within_geometry_deviation_is_tiny(self):
