@@ -2,10 +2,13 @@
 
 Subcommands: gamma, transform, compute, compare, strips, regions, curves,
 semigroup.  Exit codes: 0 success, 2 input or domain error, 3 numerical
-failure.  The parser holds every default.  An optional key=value config file
-replaces the defaults of the settings flags its subcommand offers; explicit
-flags always win.  Every printed area is an operator value: ``strips`` draws
-geometry only and offers no settings flags.
+failure.  The parser holds every default and parses every input, the
+integrand spec and the comma-separated lists included, before any handler
+runs, so a malformed input exits 2 before any computation.  Each shared flag
+group is declared once and named by the subcommands that offer it.  An
+optional key=value config file replaces the defaults of the settings flags its
+subcommand offers; explicit flags always win.  Every printed area is an
+operator value: ``strips`` draws geometry only and offers no settings flags.
 """
 
 import argparse
@@ -14,7 +17,7 @@ import time
 
 import numpy as np
 
-from .engines import METHODS
+from .engines import METHODS, ROUTES
 from .errors import DomainError, NumericalError
 from .gamma import gamma as gamma_fn
 from .integrand import Integrand, power_integrand
@@ -87,14 +90,10 @@ def load_config(path: str, parser: argparse.ArgumentParser) -> dict:
 
 
 def _operator(alpha: float, method: str, args) -> FractionalOperator:
-    return FractionalOperator(
-        alpha,
-        route=method,
-        abs_tol=args.abs_tol,
-        rel_tol=args.rel_tol,
-        budget=args.budget,
-        n=args.n,
-    )
+    """The order-``alpha`` operator, configured by the settings flags the subcommand offers."""
+    settings = {key: getattr(args, key)
+                for key in ("abs_tol", "rel_tol", "budget", "n") if hasattr(args, key)}
+    return FractionalOperator(alpha, route=method, **settings)
 
 
 def _oracle_value(f: Integrand, alpha: float, t: float) -> float:
@@ -129,15 +128,14 @@ def cmd_transform(args) -> None:
 
 
 def cmd_compute(args) -> None:
-    f = parse_integrand(args.f)
     rows = ["alpha,t,method,value,oracle,abs_err,rel_err,n_evals,seconds"]
-    for alpha in parse_float_list(args.alpha):
+    for alpha in args.alpha:
         op = _operator(alpha, args.method, args)
-        for t in parse_float_list(args.t):
+        for t in args.t:
             start = time.perf_counter()
-            result = op.apply(f, t)
+            result = op.apply(args.f, t)
             seconds = time.perf_counter() - start
-            oracle = _oracle_value(f, alpha, t)
+            oracle = _oracle_value(args.f, alpha, t)
             abs_err = abs(result.value - oracle)
             rows.append(
                 ",".join(
@@ -158,31 +156,29 @@ def cmd_compute(args) -> None:
 
 
 def cmd_compare(args) -> None:
-    f = parse_integrand(args.f)
     if not (np.isfinite(args.tolerance) and args.tolerance >= 0.0):
         raise DomainError(f"tolerance must be finite and >= 0, got {args.tolerance!r}")
-    routes = ("direct", "stieltjes", "cavalieri", "transformed")
     results = {}
     all_consistent = True
-    for alpha in parse_float_list(args.alpha):
-        for t in parse_float_list(args.t):
+    for alpha in args.alpha:
+        for t in args.t:
             values = {
-                route: _operator(alpha, route, args).apply(f, t).value
-                for route in routes
+                route: _operator(alpha, route, args).apply(args.f, t).value
+                for route in ROUTES
             }
             deltas = {}
-            for i, r1 in enumerate(routes):
-                for r2 in routes[i + 1:]:
+            for i, r1 in enumerate(ROUTES):
+                for r2 in ROUTES[i + 1:]:
                     deltas[f"{r1}|{r2}"] = _rel_delta(values[r1], values[r2])
             consistent = all(d <= args.tolerance for d in deltas.values())
             all_consistent = all_consistent and consistent
             entry = dict(values)
-            entry["oracle"] = _oracle_value(f, alpha, t)
+            entry["oracle"] = _oracle_value(args.f, alpha, t)
             entry["deltas"] = deltas
             entry["consistent"] = consistent
             results[f"alpha={alpha:g},t={t:g}"] = entry
     payload = {
-        "integrand": f.label,
+        "integrand": args.f.label,
         "tolerance": args.tolerance,
         "n": args.n,
         "budget": args.budget,
@@ -212,19 +208,15 @@ def _strips_svg(geometry) -> str:
 
 
 def cmd_strips(args) -> None:
-    f = parse_integrand(args.f)
     pair = make_transform(args.alpha, args.t)
-    geometry = build_strips(f, pair, args.n_strips, args.samples)
+    geometry = build_strips(args.f, pair, args.n_strips, args.samples)
     write_text(args.out, _strips_csv(geometry))
     if args.svg:
         write_text(args.svg, _strips_svg(geometry))
 
 
 def cmd_regions(args) -> None:
-    f = parse_integrand(args.f)
-    alphas = parse_float_list(args.alpha)
-    horizons = parse_float_list(args.t)
-    family = region_family(f, alphas, horizons, args.samples)
+    family = region_family(args.f, args.alpha, args.t, args.samples)
 
     outline_block = ["alpha,t,part,x,y"]
     area_block = ["alpha,t,area"]
@@ -235,9 +227,7 @@ def cmd_regions(args) -> None:
             outline_block.append(f"{prefix},f,{format_number(x)},{format_number(y)}")
         for x, y in geometry.boundaries[-1]:
             outline_block.append(f"{prefix},edge,{format_number(x)},{format_number(y)}")
-        area = FractionalOperator(
-            geometry.alpha, abs_tol=args.abs_tol, rel_tol=args.rel_tol, budget=args.budget
-        ).apply(f, geometry.t).value
+        area = _operator(geometry.alpha, "transformed", args).apply(args.f, geometry.t).value
         area_block.append(f"{prefix},{format_number(area)}")
     write_text(args.out, join_blocks(outline_block, area_block))
 
@@ -263,28 +253,27 @@ def _curve_value(op: FractionalOperator, f: Integrand, t: float) -> float:
 
 
 def cmd_curves(args) -> None:
-    f = parse_integrand(args.f)
-    alphas = parse_float_list(args.alpha)
+    if not np.isfinite([args.t_start, args.t_stop, args.t_step]).all():
+        raise DomainError("t-start, t-stop and t-step must be finite")
     if args.t_step <= 0 or args.t_stop < args.t_start:
         raise DomainError("need t-step > 0 and t-stop >= t-start")
     count = int(np.floor((args.t_stop - args.t_start) / args.t_step + 1e-9)) + 1
     horizons = [args.t_start + k * args.t_step for k in range(count)]
 
     curve_block = ["alpha,t,value"]
-    for alpha in alphas:
+    for alpha in args.alpha:
         op = _operator(alpha, args.method, args)
         for t in horizons:
-            value = _curve_value(op, f, t)
+            value = _curve_value(op, args.f, t)
             curve_block.append(
                 f"{format_number(alpha)},{format_number(t)},{format_number(value)}"
             )
 
     marker_block = ["alpha,t,area_marker"]
-    marker_ts = parse_float_list(args.marker_t)
-    for alpha in alphas:
+    for alpha in args.alpha:
         op = _operator(alpha, "transformed", args)
-        for t in marker_ts:
-            marker = op.apply(f, t).value
+        for t in args.marker_t:
+            marker = op.apply(args.f, t).value
             marker_block.append(
                 f"{format_number(alpha)},{format_number(t)},{format_number(marker)}"
             )
@@ -292,11 +281,10 @@ def cmd_curves(args) -> None:
 
 
 def cmd_semigroup(args) -> None:
-    f = parse_integrand(args.f)
     outer = _operator(args.alpha, args.method, args)
     inner = _operator(args.beta, args.method, args)
-    composed = compose(outer, inner, f, args.t, args.grid)
-    direct = _operator(min(args.alpha + args.beta, 1.0), args.method, args).apply(f, args.t).value
+    composed = compose(outer, inner, args.f, args.t, args.grid)
+    direct = _operator(min(args.alpha + args.beta, 1.0), args.method, args).apply(args.f, args.t).value
     gap = _rel_delta(composed, direct)
     write_text(
         args.out,
@@ -314,92 +302,78 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, tolerances=True, sums=True):
-        p.add_argument("--out", default=None, help="output file (default: stdout)")
-        if tolerances:
-            p.add_argument("--config", default=None, help="key=value file of settings-flag defaults")
-            p.add_argument("--abs-tol", dest="abs_tol", type=float, default=DEFAULT_ABS_TOL)
-            p.add_argument("--rel-tol", dest="rel_tol", type=float, default=DEFAULT_REL_TOL)
-            p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="adaptive evaluation budget")
-            p.set_defaults(parser=p)
-        if tolerances and sums:
-            p.add_argument("--n", type=int, default=DEFAULT_SUM_N, help="partition size for the sum routes")
+    # One parent parser per shared flag group.  The subcommands naming a group share
+    # its action objects, so a config file's set_defaults on one subcommand changes
+    # them for the whole parser: safe only because main builds a fresh parser per call.
+    out, f, alphas, horizons, settings, sums = (
+        argparse.ArgumentParser(add_help=False) for _ in range(6)
+    )
+    out.add_argument("--out", default=None, help="output file (default: stdout)")
+    f.add_argument("--f", type=parse_integrand, default="pow:1:1", help="integrand spec pow:<c>:<p>")
+    alphas.add_argument("--alpha", type=parse_float_list, default=DEFAULT_ALPHAS)
+    horizons.add_argument("--t", type=parse_float_list, default=DEFAULT_HORIZONS)
+    settings.add_argument("--config", default=None, help="key=value file of settings-flag defaults")
+    settings.add_argument("--abs-tol", dest="abs_tol", type=float, default=DEFAULT_ABS_TOL)
+    settings.add_argument("--rel-tol", dest="rel_tol", type=float, default=DEFAULT_REL_TOL)
+    settings.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="adaptive evaluation budget")
+    sums.add_argument("--n", type=int, default=DEFAULT_SUM_N, help="partition size for the sum routes")
 
-    p = sub.add_parser("gamma", help="evaluate the gamma function")
+    def command(name, handler, help_text, *groups):
+        p = sub.add_parser(name, help=help_text, parents=[*groups, out])
+        p.set_defaults(handler=handler, parser=p)
+        return p
+
+    p = command("gamma", cmd_gamma, "evaluate the gamma function")
     p.add_argument("--x", type=float, required=True)
-    common(p, tolerances=False)
-    p.set_defaults(handler=cmd_gamma)
 
-    p = sub.add_parser("transform", help="sample the forward/inverse transform pair as CSV")
+    p = command("transform", cmd_transform, "sample the forward/inverse transform pair as CSV")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--samples", type=int, default=200)
-    common(p, tolerances=False)
-    p.set_defaults(handler=cmd_transform)
 
-    p = sub.add_parser("compute", help="stream value/oracle rows as CSV")
-    p.add_argument("--f", default="pow:1:1", help="integrand spec pow:<c>:<p>")
-    p.add_argument("--alpha", default=DEFAULT_ALPHAS)
-    p.add_argument("--t", default=DEFAULT_HORIZONS)
+    p = command("compute", cmd_compute, "stream value/oracle rows as CSV",
+                f, alphas, horizons, settings, sums)
     p.add_argument("--method", choices=METHODS, default="transformed")
-    common(p)
-    p.set_defaults(handler=cmd_compute)
 
-    p = sub.add_parser("compare", help="run all four routes and report agreement as JSON")
-    p.add_argument("--f", default="pow:1:1")
-    p.add_argument("--alpha", default=DEFAULT_ALPHAS)
-    p.add_argument("--t", default=DEFAULT_HORIZONS)
+    p = command("compare", cmd_compare, "run all four routes and report agreement as JSON",
+                f, alphas, horizons, settings, sums)
     p.add_argument("--tolerance", type=float, default=1e-3, help="pairwise consistency tolerance")
-    common(p)
-    p.set_defaults(handler=cmd_compare)
 
-    p = sub.add_parser("strips", help="emit strip boundary polylines and areas")
-    p.add_argument("--f", default="pow:1:1")
+    p = command("strips", cmd_strips, "emit strip boundary polylines and areas", f)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--n-strips", dest="n_strips", type=int, default=5)
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--svg", default=None, help="also render an SVG to this path")
-    common(p, tolerances=False)
-    p.set_defaults(handler=cmd_strips)
 
-    p = sub.add_parser("regions", help="emit region outlines and areas for an (alpha, t) family")
-    p.add_argument("--f", default="pow:1:1")
-    p.add_argument("--alpha", default=DEFAULT_ALPHAS)
-    p.add_argument("--t", default=DEFAULT_HORIZONS)
+    p = command("regions", cmd_regions, "emit region outlines and areas for an (alpha, t) family",
+                f, alphas, horizons, settings)
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--svg", default=None)
-    common(p, sums=False)
-    p.set_defaults(handler=cmd_regions)
 
-    p = sub.add_parser("curves", help="emit value curves over t plus transformed-route markers")
-    p.add_argument("--f", default="pow:1:1")
-    p.add_argument("--alpha", default=DEFAULT_ALPHAS)
+    p = command("curves", cmd_curves, "emit value curves over t plus transformed-route markers",
+                f, alphas, settings, sums)
     p.add_argument("--t-start", dest="t_start", type=float, default=0.0)
     p.add_argument("--t-stop", dest="t_stop", type=float, default=10.0)
     p.add_argument("--t-step", dest="t_step", type=float, default=0.1)
-    p.add_argument("--marker-t", dest="marker_t", default=DEFAULT_HORIZONS)
+    p.add_argument("--marker-t", dest="marker_t", type=parse_float_list, default=DEFAULT_HORIZONS)
     p.add_argument("--method", choices=METHODS, default="oracle")
-    common(p)
-    p.set_defaults(handler=cmd_curves)
 
-    p = sub.add_parser("semigroup", help="check composed orders against the single operator")
-    p.add_argument("--f", default="pow:1:1")
+    p = command("semigroup", cmd_semigroup, "check composed orders against the single operator",
+                f, settings, sums)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--grid", type=int, default=DEFAULT_COMPOSE_GRID)
     p.add_argument("--method", choices=METHODS, default="transformed")
-    common(p)
-    p.set_defaults(handler=cmd_semigroup)
 
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         if getattr(args, "config", None):
             # the parser is built afresh per call, so these defaults do not outlive it
             args.parser.set_defaults(**load_config(args.config, args.parser))

@@ -33,7 +33,8 @@ from .quadrature import (
 )
 from .transforms import TransformPair, make_transform, validate_horizon
 
-METHODS = ("direct", "stieltjes", "cavalieri", "transformed", "oracle")
+ROUTES = ("direct", "stieltjes", "cavalieri", "transformed")  # the numeric routes
+METHODS = ROUTES + ("oracle",)
 
 
 @dataclass(frozen=True)

@@ -348,6 +348,14 @@ class TestCurvesCommand:
     def test_bad_step_exits_2(self):
         assert run(["curves", "--t-step", "0"]) == 2
 
+    @pytest.mark.parametrize(("flag", "value"), (
+        ("--t-step", "nan"), ("--t-start", "nan"), ("--t-stop", "inf"),
+    ))
+    def test_non_finite_range_exits_2(self, flag, value, capsys):
+        assert run(["curves", flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("fracint: ") and err.count("\n") == 1
+
     def test_budget_reaches_the_markers(self, capsys):
         # the default oracle route ignores the budget; the marker areas use it
         assert run(["curves", "--budget", "15"]) == 3
@@ -406,6 +414,23 @@ class TestSemigroupCommand:
                         "--beta", "0.25", "--t", "100"]) == 3
         err = capsys.readouterr().err
         assert err.startswith("fracint: not-a-knot spline") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", (
+    ["compute", "--f", "pow:1"],
+    ["compare", "--alpha", "0.5,x"],
+    ["regions", "--t", "2,x"],
+    ["curves", "--alpha", "x"],
+    ["curves", "--marker-t", "x"],
+))
+def test_malformed_input_exits_2_before_any_work(argv, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an operator ran before the inputs were parsed")
+
+    monkeypatch.setattr(fracint.FractionalOperator, "apply", refuse)
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("fracint: ") and err.count("\n") == 1
 
 
 class TestConfigFile:
