@@ -41,6 +41,9 @@ SETTINGS = ("abs_tol", "rel_tol", "budget", "n", "tolerance")
 
 _TINY = 1e-300
 
+# horizons one curves run may ask for; a tiny --t-step would otherwise ask for ~1e301
+MAX_CURVE_HORIZONS = 1_000_000
+
 
 def parse_integrand(spec: str) -> Integrand:
     """Integrand grammar: pow:<coefficient>:<exponent>."""
@@ -257,7 +260,13 @@ def cmd_curves(args) -> None:
         raise DomainError("t-start, t-stop and t-step must be finite")
     if args.t_step <= 0 or args.t_stop < args.t_start:
         raise DomainError("need t-step > 0 and t-stop >= t-start")
-    count = int(np.floor((args.t_stop - args.t_start) / args.t_step + 1e-9)) + 1
+    steps = np.floor((args.t_stop - args.t_start) / args.t_step + 1e-9)  # inf if it overflows
+    if not steps < MAX_CURVE_HORIZONS:  # checked before the horizon list is built
+        raise DomainError(
+            f"t-step {args.t_step:g} over [{args.t_start:g}, {args.t_stop:g}] needs more "
+            f"than {MAX_CURVE_HORIZONS} horizons"
+        )
+    count = int(steps) + 1
     horizons = [args.t_start + k * args.t_step for k in range(count)]
 
     curve_block = ["alpha,t,value"]

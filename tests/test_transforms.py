@@ -34,6 +34,29 @@ def test_horizon_validation():
             validate_horizon(bad)
 
 
+NON_FINITE = [
+    kind(value)
+    for value in (float("nan"), float("inf"), float("-inf"))
+    for kind in (float, np.float64, np.array)  # np.array makes a 0-d array
+]
+
+
+@pytest.mark.parametrize("validate", (validate_order, validate_horizon))
+@pytest.mark.parametrize("bad", NON_FINITE, ids=repr)
+def test_non_finite_input_is_a_domain_error(validate, bad):
+    with pytest.raises(DomainError, match="finite"):
+        validate(bad)
+
+
+@pytest.mark.parametrize("validate", (validate_order, validate_horizon))
+@pytest.mark.parametrize(("bad", "error"), (
+    (None, TypeError), ("abc", ValueError), ("", ValueError), ("nan", DomainError),
+))
+def test_non_numbers_raise_what_float_raises(validate, bad, error):
+    with pytest.raises(error):
+        validate(bad)
+
+
 def test_make_transform_rejects_degenerate_order():
     with pytest.raises(DomainError):
         make_transform(0.0, 10.0)
@@ -125,6 +148,19 @@ def test_inverse_is_tau_on_the_u_axis(alpha, t):
     assert np.array_equal(pair.inverse(xs), pair.tau(np.maximum(us, 0.0)))
     assert pair.tau(0.0) == t
     assert pair.tau(t**alpha) == pytest.approx(0.0, abs=1e-14 * t)
+
+
+@pytest.mark.parametrize("alpha", (0.05, 0.2, 1.0 / 3.0, 0.5, 1.0))
+def test_tau_needs_no_upper_clip_on_its_domain(alpha):
+    # for u >= 0, t - u**(1/alpha) never exceeds t: clipping to t changes no bit
+    rng = np.random.default_rng(7)
+    for t in (1e-9, 0.7, 30.0, 1e12):
+        pair = make_transform(alpha, t)
+        us = np.concatenate(([0.0, t**alpha], rng.uniform(0.0, 1.05 * t**alpha, 2000)))
+        clipped = np.minimum(np.maximum(t - us ** (1.0 / alpha), 0.0), t)
+        assert np.array_equal(pair.tau(us), clipped)
+        for u in us[:40].tolist():  # a scalar u keeps the scalar pow
+            assert pair.tau(u) == min(max(t - u ** (1.0 / alpha), 0.0), t)
 
 
 def test_left_boundary_values():
