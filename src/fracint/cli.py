@@ -28,7 +28,15 @@ from .operator import (
     compose,
     power_oracle,
 )
-from .output import format_number, join_blocks, json_text, svg_document, write_text
+from .output import (
+    CSV_NUMBER,
+    format_number,
+    format_rows,
+    join_blocks,
+    json_text,
+    svg_document,
+    write_text,
+)
 from .quadrature import DEFAULT_ABS_TOL, DEFAULT_BUDGET, DEFAULT_REL_TOL
 from .strips import build_strips, region_family
 from .transforms import make_transform
@@ -41,8 +49,13 @@ SETTINGS = ("abs_tol", "rel_tol", "budget", "n", "tolerance")
 
 _TINY = 1e-300
 
-# horizons one curves run may ask for; a tiny --t-step would otherwise ask for ~1e301
-MAX_CURVE_HORIZONS = 1_000_000
+# rows of sampled points one run may ask for, checked before anything is sampled: a huge
+# --samples, --n-strips or a tiny --t-step would otherwise exhaust memory first
+MAX_ROWS = 1_000_000
+MAX_CURVE_HORIZONS = MAX_ROWS  # the bound on curves' horizons, under its own name
+
+# one CSV row of two numbers
+_PAIR = f"{CSV_NUMBER},{CSV_NUMBER}"
 
 
 def parse_integrand(spec: str) -> Integrand:
@@ -108,6 +121,11 @@ def _rel_delta(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b), _TINY)
 
 
+def _check_rows(rows: int, request: str) -> None:
+    if rows > MAX_ROWS:
+        raise DomainError(f"{request} asks for {rows} rows, more than {MAX_ROWS}")
+
+
 def cmd_gamma(args) -> None:
     value = gamma_fn(args.x)
     write_text(args.out, f"{value:.15g}\n")
@@ -117,16 +135,11 @@ def cmd_transform(args) -> None:
     pair = make_transform(args.alpha, args.t)
     if args.samples < 2:
         raise DomainError(f"need at least 2 samples per curve, got {args.samples}")
+    _check_rows(2 * args.samples, f"--samples {args.samples}")
     taus = np.linspace(0.0, pair.t, args.samples)
     xs = np.linspace(0.0, pair.width, args.samples)
-    g_block = ["tau,g"] + [
-        f"{format_number(tau)},{format_number(g)}"
-        for tau, g in zip(taus, pair.forward(taus))
-    ]
-    h_block = ["x,h"] + [
-        f"{format_number(x)},{format_number(h)}"
-        for x, h in zip(xs, pair.inverse(xs))
-    ]
+    g_block = ["tau,g", format_rows(_PAIR, (taus, pair.forward(taus)))]
+    h_block = ["x,h", format_rows(_PAIR, (xs, pair.inverse(xs)))]
     write_text(args.out, join_blocks(g_block, h_block))
 
 
@@ -192,13 +205,14 @@ def cmd_compare(args) -> None:
 
 
 def _strips_csv(geometry) -> str:
-    boundary_block = ["boundary_index,y,x"]
-    for index, polyline in enumerate(geometry.boundaries):
-        for x, y in polyline:
-            boundary_block.append(f"{index},{format_number(y)},{format_number(x)}")
-    area_block = ["strip_index,area"]
-    for index, area in enumerate(geometry.strip_areas):
-        area_block.append(f"{index},{format_number(area)}")
+    boundary_block = ["boundary_index,y,x"] + [
+        format_rows(f"{index},{_PAIR}", (polyline[:, 1], polyline[:, 0]))
+        for index, polyline in enumerate(geometry.boundaries)
+    ]
+    areas = geometry.strip_areas
+    area_block = [
+        "strip_index,area", format_rows(f"%d,{CSV_NUMBER}", (np.arange(len(areas)), areas)),
+    ]
     return join_blocks(boundary_block, area_block)
 
 
@@ -212,6 +226,8 @@ def _strips_svg(geometry) -> str:
 
 def cmd_strips(args) -> None:
     pair = make_transform(args.alpha, args.t)
+    _check_rows((args.n_strips + 1) * args.samples,
+                f"--n-strips {args.n_strips} with --samples {args.samples}")
     geometry = build_strips(args.f, pair, args.n_strips, args.samples)
     write_text(args.out, _strips_csv(geometry))
     if args.svg:
@@ -219,17 +235,19 @@ def cmd_strips(args) -> None:
 
 
 def cmd_regions(args) -> None:
+    regions = len(args.alpha) * len(args.t)
+    _check_rows(2 * regions * args.samples, f"{regions} regions at --samples {args.samples}")
     family = region_family(args.f, args.alpha, args.t, args.samples)
 
     outline_block = ["alpha,t,part,x,y"]
     area_block = ["alpha,t,area"]
     for geometry in family:
+        # formatted numbers hold no "%", so the prefix is a literal of the row template
         prefix = f"{format_number(geometry.alpha)},{format_number(geometry.t)}"
         curve = geometry.region_outline[: geometry.samples_per_curve]
-        for x, y in curve:
-            outline_block.append(f"{prefix},f,{format_number(x)},{format_number(y)}")
-        for x, y in geometry.boundaries[-1]:
-            outline_block.append(f"{prefix},edge,{format_number(x)},{format_number(y)}")
+        edge = geometry.boundaries[-1]
+        outline_block.append(format_rows(f"{prefix},f,{_PAIR}", (curve[:, 0], curve[:, 1])))
+        outline_block.append(format_rows(f"{prefix},edge,{_PAIR}", (edge[:, 0], edge[:, 1])))
         area = _operator(geometry.alpha, "transformed", args).apply(args.f, geometry.t).value
         area_block.append(f"{prefix},{format_number(area)}")
     write_text(args.out, join_blocks(outline_block, area_block))
@@ -272,20 +290,16 @@ def cmd_curves(args) -> None:
     curve_block = ["alpha,t,value"]
     for alpha in args.alpha:
         op = _operator(alpha, args.method, args)
-        for t in horizons:
-            value = _curve_value(op, args.f, t)
-            curve_block.append(
-                f"{format_number(alpha)},{format_number(t)},{format_number(value)}"
-            )
+        values = [_curve_value(op, args.f, t) for t in horizons]
+        curve_block.append(format_rows(f"{format_number(alpha)},{_PAIR}", (horizons, values)))
 
     marker_block = ["alpha,t,area_marker"]
     for alpha in args.alpha:
         op = _operator(alpha, "transformed", args)
-        for t in args.marker_t:
-            marker = op.apply(args.f, t).value
-            marker_block.append(
-                f"{format_number(alpha)},{format_number(t)},{format_number(marker)}"
-            )
+        markers = [op.apply(args.f, t).value for t in args.marker_t]
+        marker_block.append(
+            format_rows(f"{format_number(alpha)},{_PAIR}", (args.marker_t, markers))
+        )
     write_text(args.out, join_blocks(curve_block, marker_block))
 
 

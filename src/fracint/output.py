@@ -1,8 +1,10 @@
 """Deterministic CSV, JSON, and SVG emission.
 
-All numeric fields use fixed 12-significant-digit scientific notation and
-files end with a single trailing newline, so identical configurations produce
-byte-identical output.
+All numeric CSV fields use fixed 12-significant-digit scientific notation
+(``CSV_NUMBER``), SVG coordinates two decimals (``SVG_NUMBER``), and files end
+with a single trailing newline, so identical configurations produce
+byte-identical output.  Blocks of numeric rows are formatted by ``format_rows``
+in one ``%`` operation per block, not one call per number.
 """
 
 import json
@@ -10,27 +12,59 @@ import sys
 
 import numpy as np
 
+from .errors import DomainError
+
 SVG_WIDTH = 800
 SVG_HEIGHT = 600
 _MARGIN = 50.0
 
+# printf-style specs; '%.11e' % x and f"{x:.11e}" run the same float formatter
+CSV_NUMBER = "%.11e"
+SVG_NUMBER = "%.2f"
+
 
 def format_number(value) -> str:
-    return f"{float(value):.11e}"
+    return CSV_NUMBER % float(value)
+
+
+def format_rows(row: str, columns, sep: str = "\n") -> str:
+    """One ``row`` per row of ``columns``, joined by ``sep``.
+
+    ``row`` is a %-template with one field per column; literal text in it
+    must spell ``%`` as ``%%``.  Each column is converted to Python numbers
+    once, and the whole block is formatted by a single ``%`` operation.  No
+    rows give "", which ``join_blocks`` leaves out.
+    """
+    lists = [np.asarray(column).tolist() for column in columns]
+    rows, width = len(lists[0]), len(lists)
+    values = [None] * (rows * width)
+    for offset, column in enumerate(lists):
+        values[offset::width] = column
+    return sep.join([row] * rows) % tuple(values)
 
 
 def join_blocks(*blocks) -> str:
-    """Assemble CSV blocks (lists of lines) separated by single blank lines."""
-    return "\n\n".join("\n".join(block) for block in blocks) + "\n"
+    """Assemble CSV blocks separated by single blank lines.
+
+    A block is a list of lines and ``format_rows`` chunks; an empty chunk adds
+    no line.
+    """
+    return "\n\n".join("\n".join(filter(None, block)) for block in blocks) + "\n"
 
 
 def write_text(path, text) -> None:
-    """Write to a file (newline-preserving) or stdout when path is None."""
+    """Write to a file (newline-preserving) or stdout when path is None.
+
+    A path that cannot be written is an input error.
+    """
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", newline="") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise DomainError(f"cannot write {path!r}: {exc.strerror or exc}") from None
 
 
 def json_text(payload) -> str:
@@ -70,20 +104,18 @@ def svg_document(curves) -> str:
     # axes through the data origin
     ox = _MARGIN + (0.0 - x_lo) / x_span * inner_w
     oy = SVG_HEIGHT - _MARGIN - (0.0 - y_lo) / y_span * inner_h
-    parts.append(
-        f'<line x1="{_MARGIN:.2f}" y1="{oy:.2f}" x2="{SVG_WIDTH - _MARGIN:.2f}" '
-        f'y2="{oy:.2f}" stroke="black" stroke-width="1"/>'
+    axis = (
+        f'<line x1="{SVG_NUMBER}" y1="{SVG_NUMBER}" x2="{SVG_NUMBER}" y2="{SVG_NUMBER}" '
+        'stroke="black" stroke-width="1"/>'
     )
-    parts.append(
-        f'<line x1="{ox:.2f}" y1="{_MARGIN:.2f}" x2="{ox:.2f}" '
-        f'y2="{SVG_HEIGHT - _MARGIN:.2f}" stroke="black" stroke-width="1"/>'
-    )
+    parts.append(axis % (_MARGIN, oy, SVG_WIDTH - _MARGIN, oy))
+    parts.append(axis % (ox, _MARGIN, ox, SVG_HEIGHT - _MARGIN))
     for curve in curves:
         points = np.asarray(curve["points"], dtype=float)
         if len(points) < 2:
             continue
         x, y = to_px(points)
-        coords = " ".join(f"{xi:.2f},{yi:.2f}" for xi, yi in zip(x, y))
+        coords = format_rows(f"{SVG_NUMBER},{SVG_NUMBER}", (x, y), sep=" ")
         dash = ' stroke-dasharray="6,4"' if curve.get("dashed") else ""
         stroke = _shade(curve.get("shade", 0.0))
         parts.append(

@@ -21,6 +21,24 @@ def run(args):
     return main(args)
 
 
+def run_under_memory_limit(argv):
+    """``fracint argv`` in a child limited to 800 MB of address space.
+
+    A bound checked only after a huge request is allocated then fails with
+    MemoryError instead of exhausting the host.
+    """
+    src = os.path.dirname(os.path.dirname(fracint.__file__))
+    code = (
+        "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (800_000_000,) * 2); "
+        "from fracint.cli import main; sys.exit(main(sys.argv[1:]))"
+    )
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"),
+        capture_output=True, text=True, timeout=120,
+    )
+
+
 def blocks_of(text):
     """Split a multi-block CSV into lists of lines."""
     return [block.splitlines() for block in text.strip().split("\n\n")]
@@ -368,18 +386,8 @@ class TestCurvesCommand:
         assert f"more than {cli.MAX_CURVE_HORIZONS} horizons" in err
 
     def test_tiny_step_exits_2_before_building_the_horizons(self):
-        # about 1e301 horizons: under an address-space limit, so that a bound checked
-        # after the list is built fails with MemoryError instead of exhausting the host
-        src = os.path.dirname(os.path.dirname(fracint.__file__))
-        code = (
-            "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (800_000_000,) * 2); "
-            "from fracint.cli import main; sys.exit(main(sys.argv[1:]))"
-        )
-        completed = subprocess.run(
-            [sys.executable, "-c", code, "curves", "--t-step", "1e-300"],
-            env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"),
-            capture_output=True, text=True, timeout=120,
-        )
+        # about 1e301 horizons
+        completed = run_under_memory_limit(["curves", "--t-step", "1e-300"])
         assert completed.returncode == 2, completed.stderr
         assert completed.stderr == (
             f"fracint: t-step 1e-300 over [0, 10] needs more than {cli.MAX_CURVE_HORIZONS} horizons\n"
@@ -412,6 +420,58 @@ def test_overflowing_integrand_exits_3_before_sampling(command, capsys):
         warnings.simplefilter("error", RuntimeWarning)
         assert run(command + ["--f", "pow:8e307:1", "--alpha", "0.5", "--t", "4"]) == 3
     assert capsys.readouterr().err == "fracint: integrand value f(4) = inf is not finite\n"
+
+
+@pytest.mark.parametrize("argv", (
+    ["gamma", "--x", "0.5", "--out", "{missing}/x.txt"],
+    ["strips", "--alpha", "0.5", "--t", "2", "--svg", "{missing}/x.svg"],
+))
+def test_unwritable_path_exits_2(argv, tmp_path, capsys):
+    missing = tmp_path / "missing"
+    assert run([arg.format(missing=missing) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"fracint: cannot write '{missing}/x.") and err.count("\n") == 1
+
+
+class TestRowCap:
+    CASES = (
+        (["transform", "--alpha", "0.5", "--t", "2", "--samples", "1000000000"],
+         "--samples 1000000000 asks for 2000000000 rows"),
+        (["strips", "--alpha", "0.5", "--t", "2", "--samples", "1000000000"],
+         "--n-strips 5 with --samples 1000000000 asks for 6000000000 rows"),
+        (["strips", "--alpha", "0.5", "--t", "2", "--n-strips", "1000000000"],
+         "--n-strips 1000000000 with --samples 200 asks for 200000000200 rows"),
+        (["regions", "--samples", "1000000000"],
+         "30 regions at --samples 1000000000 asks for 60000000000 rows"),
+    )
+
+    @pytest.mark.parametrize(("argv", "refusal"), CASES)
+    def test_refused_before_any_geometry(self, argv, refusal, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("geometry built")
+
+        monkeypatch.setattr(cli, "build_strips", refuse)
+        monkeypatch.setattr(cli, "region_family", refuse)
+        assert run(argv) == 2
+        assert capsys.readouterr().err == f"fracint: {refusal}, more than {cli.MAX_ROWS}\n"
+
+    @pytest.mark.parametrize(("argv", "refusal"), CASES)
+    def test_refused_before_allocating(self, argv, refusal):
+        completed = run_under_memory_limit(argv)
+        assert completed.returncode == 2, completed.stderr
+        assert completed.stderr == f"fracint: {refusal}, more than {cli.MAX_ROWS}\n"
+
+    @pytest.mark.parametrize(("argv", "rows"), (
+        (["transform", "--alpha", "0.5", "--t", "2"], 2),
+        (["strips", "--alpha", "0.5", "--t", "2", "--n-strips", "2"], 3),
+        (["regions", "--alpha", "0.5", "--t", "2,3"], 4),
+    ))
+    def test_the_cap_is_reached_not_passed(self, argv, rows, monkeypatch, capsys):
+        # with a cap of 12 rows, 12 / rows samples fit and one more does not
+        monkeypatch.setattr(cli, "MAX_ROWS", 12)
+        assert run(argv + ["--samples", str(12 // rows)]) == 0
+        assert run(argv + ["--samples", str(12 // rows + 1)]) == 2
+        assert capsys.readouterr().err.endswith(" rows, more than 12\n")
 
 
 class TestSemigroupCommand:
