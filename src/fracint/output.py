@@ -3,8 +3,8 @@
 All numeric CSV fields use fixed 12-significant-digit scientific notation
 (``CSV_NUMBER``), SVG coordinates two decimals (``SVG_NUMBER``), and files end
 with a single trailing newline, so identical configurations produce
-byte-identical output.  Blocks of numeric rows are formatted by ``format_rows``
-in one ``%`` operation per block, not one call per number.
+byte-identical output.  ``format_rows`` formats a block of numeric rows with
+one ``%`` operation.
 """
 
 import json
