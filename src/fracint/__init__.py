@@ -27,7 +27,6 @@ from .quadrature import (
     stieltjes_riemann_sum,
 )
 from .engines import (
-    Partition,
     QuadratureResult,
     cauchy_repeated,
     cavalieri_sum,
@@ -52,7 +51,6 @@ __all__ = [
     "Integrand",
     "NonMonotoneError",
     "NumericalError",
-    "Partition",
     "PoleError",
     "QuadratureResult",
     "StripGeometry",

@@ -36,6 +36,7 @@ from .output import (
     json_text,
     svg_document,
     write_text,
+    write_texts,
 )
 from .quadrature import DEFAULT_ABS_TOL, DEFAULT_BUDGET, DEFAULT_REL_TOL
 from .strips import build_strips, region_family
@@ -229,9 +230,8 @@ def cmd_strips(args) -> None:
     _check_rows((args.n_strips + 1) * args.samples,
                 f"--n-strips {args.n_strips} with --samples {args.samples}")
     geometry = build_strips(args.f, pair, args.n_strips, args.samples)
-    write_text(args.out, _strips_csv(geometry))
-    if args.svg:
-        write_text(args.svg, _strips_svg(geometry))
+    svg = [(args.svg, _strips_svg(geometry))] if args.svg else []
+    write_texts((args.out, _strips_csv(geometry)), *svg)
 
 
 def cmd_regions(args) -> None:
@@ -250,8 +250,7 @@ def cmd_regions(args) -> None:
         outline_block.append(format_rows(f"{prefix},edge,{_PAIR}", (edge[:, 0], edge[:, 1])))
         area = _operator(geometry.alpha, "transformed", args).apply(args.f, geometry.t).value
         area_block.append(f"{prefix},{format_number(area)}")
-    write_text(args.out, join_blocks(outline_block, area_block))
-
+    svg = []
     if args.svg:
         t_values = sorted({g.t for g in family})
         curves = []
@@ -262,7 +261,8 @@ def cmd_regions(args) -> None:
             curve = geometry.region_outline[: geometry.samples_per_curve]
             curves.append({"points": curve, "dashed": False, "shade": 0.0})
             curves.append({"points": geometry.boundaries[-1], "dashed": False, "shade": shade})
-        write_text(args.svg, svg_document(curves))
+        svg = [(args.svg, svg_document(curves))]
+    write_texts((args.out, join_blocks(outline_block, area_block)), *svg)
 
 
 def _curve_value(op: FractionalOperator, f: Integrand, t: float) -> float:

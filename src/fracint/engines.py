@@ -12,14 +12,13 @@ cavalieri    left-endpoint strip sum, equal widths on the transformed axis
 Gamma(alpha+1) x mirrors and rescales the transformed axis, so both run the
 adaptive core.  ``stieltjes`` and ``cavalieri`` are one sum, because
 g(h(x)) = x makes every integrator increment a strip width, so both run the
-strip-sum core.  ``compare`` therefore checks the adaptive core against the
-strip sum; ``direct_rl(..., substitute=False)`` keeps the raw kernel form as
-an independent cross-check.
+strip-sum core, which totals the strip areas the geometry draws.  ``compare``
+checks the adaptive core against the strip sum; ``direct_rl(..., substitute=False)``
+keeps the raw kernel form as an independent cross-check.
 """
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -49,7 +48,6 @@ class QuadratureResult:
     error_estimate: float
     method: str
     evaluations: int
-    n: Optional[int] = None
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -65,19 +63,8 @@ class QuadratureResult:
             raise DomainError("evaluation count must be positive")
 
 
-class Partition(NamedTuple):
-    """Equal-width points on the transformed axis and their images under h.
-
-    ``transformed`` lives on [0, t**alpha / Gamma(alpha+1)] and ``tau`` on
-    [0, t], with tau[i] = h(transformed[i]).
-    """
-
-    transformed: np.ndarray
-    tau: np.ndarray
-
-
-def make_partition(pair: TransformPair, n: int) -> Partition:
-    """The strip layout of the strip sums and the strip geometry: n equal widths."""
+def make_partition(pair: TransformPair, n: int) -> np.ndarray:
+    """The n+1 tau abscissae x2_i = h(i * width/n) of n equal-width strips."""
     if n < 1:
         raise DomainError(f"partition size must be >= 1, got {n}")
     x1 = np.linspace(0.0, pair.width, int(n) + 1)
@@ -85,7 +72,12 @@ def make_partition(pair: TransformPair, n: int) -> Partition:
     # or the last interior point rounds up to the end
     if not (x1[1] > 0.0 and x1[-1] > x1[-2]):
         raise DomainError("transformed-axis points must be strictly increasing")
-    return Partition(transformed=x1, tau=pair.inverse(x1))
+    return pair.inverse(x1)
+
+
+def strip_areas(heights: np.ndarray, width: float, n: int) -> np.ndarray:
+    """Areas f(x2_i) * width/n: the one strip-area formula, of the geometry and both sums."""
+    return heights * (width / n)
 
 
 def _adaptive_core(f, pair, budget, abs_tol, rel_tol, method) -> QuadratureResult:
@@ -101,21 +93,19 @@ def _adaptive_core(f, pair, budget, abs_tol, rel_tol, method) -> QuadratureResul
 
 
 def _strip_sum(f, pair, n, method) -> QuadratureResult:
-    """Left-endpoint strip sum: sum f(h(x1_i)) * (x1_{i+1} - x1_i).
+    """Left-endpoint strip sum: the total of strip_areas(f(x2_i), width, n).
 
-    The error estimate compares it with the sum over every second point
-    (plus the right end when n is odd).
+    The error estimate compares it with the sum over every second strip at
+    twice the width (the last strip once when n is odd).
     """
-    part = make_partition(pair, n)
-    x1 = part.transformed
-    heights = np.atleast_1d(np.asarray(evaluate(f, part.tau[:-1])))
+    n = int(n)
+    heights = evaluate(f, make_partition(pair, n)[:-1])
     with np.errstate(over="ignore", invalid="ignore"):  # QuadratureResult refuses a non-finite sum
-        value = float(np.dot(heights, np.diff(x1)))
-        if len(heights) > 1:
-            err = abs(value - float(np.dot(heights[::2], np.diff(np.append(x1[:-1:2], x1[-1])))))
-        else:
-            err = abs(value)
-    return QuadratureResult(value, err, method, int(n), n=int(n))
+        # a fresh array: evaluate may hand back f's own array or a view of tau
+        areas = strip_areas(heights, pair.width, n)
+        value = float(np.sum(areas))
+        coarse = 2.0 * float(np.sum(areas[::2])) - (float(areas[-1]) if n % 2 else 0.0)
+    return QuadratureResult(value, abs(value - coarse) if n > 1 else abs(value), method, n)
 
 
 def _kernel_form(f, k, t, budget, abs_tol, rel_tol) -> QuadratureResult:

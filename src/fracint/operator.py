@@ -166,6 +166,8 @@ def compose(
     piecewise cubic, and fed to the outer operator.  By the order-addition
     law the result matches the single operator of order alpha + beta.
     """
+    if grid < 64:
+        raise DomainError(f"composition grid must be >= 64, got {grid}")
     t = validate_horizon(t)
     total = op_outer.alpha + op_inner.alpha
     if total > 1.0 + 1e-12:
@@ -177,8 +179,6 @@ def compose(
         return op_outer.apply(f, t).value
     if op_outer.alpha == 0.0:
         return op_inner.apply(f, t).value
-    if grid < 64:
-        raise DomainError(f"composition grid must be >= 64, got {grid}")
 
     nodes = chebyshev_nodes(grid, t)
     # the inner integral vanishes at the base point; each value is finite, or apply raises

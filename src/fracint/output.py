@@ -52,6 +52,22 @@ def join_blocks(*blocks) -> str:
     return "\n\n".join("\n".join(filter(None, block)) for block in blocks) + "\n"
 
 
+def _unwritable(path, exc: OSError) -> DomainError:
+    return DomainError(f"cannot write {path!r}: {exc.strerror or exc}")
+
+
+def write_texts(*outputs) -> None:
+    """``write_text`` each (path, text) pair once all paths open, so a bad one writes nothing."""
+    for path, _ in outputs:
+        try:
+            if path is not None:
+                open(path, "a").close()  # creates a missing file empty, keeps an existing one
+        except OSError as exc:
+            raise _unwritable(path, exc) from None
+    for path, text in outputs:
+        write_text(path, text)
+
+
 def write_text(path, text) -> None:
     """Write to a file (newline-preserving) or stdout when path is None.
 
@@ -64,7 +80,7 @@ def write_text(path, text) -> None:
         with open(path, "w", newline="") as handle:
             handle.write(text)
     except OSError as exc:
-        raise DomainError(f"cannot write {path!r}: {exc.strerror or exc}") from None
+        raise _unwritable(path, exc) from None
 
 
 def json_text(payload) -> str:

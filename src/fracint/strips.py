@@ -2,11 +2,11 @@
 
 A geometry holds n+1 boundary polylines (horizontal translates of the left
 boundary curve, clipped against the integrand curve), the per-strip areas
-f(x2_i) * dx1 of the equal-width strip decomposition, and the region outline
-(the integrand curve plus the rightmost boundary).  It is geometry only: the
-region's exact area is the operator's value, FractionalOperator(alpha).apply.
-Every order, 0 included, goes through one builder that checks the sample
-count and the integrand once.
+f(x2_i) * width/n (``strip_areas``, whose total is the strip sum), and the
+region outline (the integrand curve plus the rightmost boundary).  It is
+geometry only: the region's exact area is the operator's value,
+FractionalOperator(alpha).apply.  Every order, 0 included, goes through one
+builder that checks the sample count and the integrand once.
 """
 
 from dataclasses import dataclass
@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .engines import make_partition
+from .engines import make_partition, strip_areas
 from .errors import DomainError, IncompatibleSamplingError, NonMonotoneError, NumericalError
 from .integrand import INCREASING, Integrand, evaluate, inverse_value
 from .transforms import TransformPair, validate_horizon, validate_order
@@ -103,7 +103,7 @@ def _assemble(f, alpha, t, width, n, left, x2, samples) -> StripGeometry:
         strip_width=strip_width,
         boundaries=tuple(boundaries),
         heights=heights,
-        strip_areas=heights[:n] * strip_width,
+        strip_areas=strip_areas(heights[:n], width, n),
         region_outline=outline,
     )
 
@@ -120,7 +120,7 @@ def build_strips(
     truncated where it meets the integrand curve; by construction that happens
     at (x2_i, f(x2_i)) with x2_i the image of the i-th partition point.
     """
-    x2 = make_partition(pair, n).tau
+    x2 = make_partition(pair, n)
     return _assemble(
         f, pair.alpha, pair.t, pair.width, int(n), pair.left_boundary, x2, samples_per_curve
     )

@@ -433,6 +433,38 @@ def test_unwritable_path_exits_2(argv, tmp_path, capsys):
     assert err.startswith(f"fracint: cannot write '{missing}/x.") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", (
+    ["strips", "--alpha", "0.5", "--t", "2"],
+    ["regions", "--samples", "20"],
+))
+class TestBadPathWritesNothing:
+    """Every path is checked before any text is written."""
+
+    @pytest.mark.parametrize(("bad", "good"), (("--out", "--svg"), ("--svg", "--out")))
+    def test_other_file_is_left_as_it_was(self, command, bad, good, tmp_path, capsys):
+        missing, other = tmp_path / "missing" / "x", tmp_path / "other"
+        other.write_text("earlier contents\n")
+        assert run(command + [bad, str(missing), good, str(other)]) == 2
+        assert capsys.readouterr() == ("", f"fracint: cannot write '{missing}': "
+                                           "No such file or directory\n")
+        assert other.read_text() == "earlier contents\n"
+        assert not missing.parent.exists()
+
+    def test_no_rows_on_stdout(self, command, tmp_path, capsys):
+        assert run(command + ["--svg", str(tmp_path / "missing" / "x.svg")]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("fracint: cannot write ")
+
+    def test_good_paths_get_both_texts(self, command, tmp_path, capsys):
+        csv, svg = tmp_path / "x.csv", tmp_path / "x.svg"
+        csv.write_text("a longer earlier text that the output replaces\n" * 1000)
+        assert run(command + ["--out", str(csv), "--svg", str(svg)]) == 0
+        assert run(command + ["--svg", str(tmp_path / "y.svg")]) == 0
+        assert csv.read_text() == capsys.readouterr().out
+        assert svg.read_text() == (tmp_path / "y.svg").read_text()
+        assert svg.read_text().startswith("<svg ")
+
+
 class TestRowCap:
     CASES = (
         (["transform", "--alpha", "0.5", "--t", "2", "--samples", "1000000000"],
@@ -490,6 +522,12 @@ class TestSemigroupCommand:
         assert run(["semigroup", "--f", "pow:1:1", "--alpha", "0.4", "--beta", "0",
                     "--t", "3"]) == 0
         assert self.parse(capsys.readouterr().out)["rel_gap"] == 0.0
+
+    @pytest.mark.parametrize("alpha", ("0", "0.2"))
+    def test_small_grid_exits_2_with_an_identity_order_too(self, alpha, capsys):
+        assert run(["semigroup", "--alpha", alpha, "--beta", "0.5", "--t", "1",
+                    "--grid", "3"]) == 2
+        assert capsys.readouterr() == ("", "fracint: composition grid must be >= 64, got 3\n")
 
     def test_excessive_order_exits_2(self, capsys):
         assert run(["semigroup", "--alpha", "0.7", "--beta", "0.7", "--t", "1"]) == 2

@@ -184,6 +184,12 @@ class TestCompose:
         with pytest.raises(DomainError):
             compose(FractionalOperator(0.3), FractionalOperator(0.3), LINEAR, 1.0, grid=32)
 
+    @pytest.mark.parametrize("orders", [(0.0, 0.5), (0.5, 0.0), (0.0, 0.0), (0.2, 0.5)])
+    def test_grid_is_checked_before_the_identity_shortcuts(self, orders):
+        outer, inner = (FractionalOperator(alpha) for alpha in orders)
+        with pytest.raises(DomainError, match="composition grid must be >= 64, got 3"):
+            compose(outer, inner, LINEAR, 1.0, grid=3)
+
 
 class TestNotAKnotSpline:
     def test_reproduces_a_cubic(self):
