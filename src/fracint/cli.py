@@ -4,8 +4,9 @@ Subcommands: gamma, transform, compute, compare, strips, regions, curves,
 semigroup.  Exit codes: 0 success, 2 input or domain error, 3 numerical
 failure.  The parser holds every default and parses every input, the
 integrand spec and the comma-separated lists included, before any handler
-runs, so a malformed input exits 2 before any computation.  Each shared flag
-group is declared once and named by the subcommands that offer it.  An
+runs, so a malformed input exits 2 before any computation.  Each subcommand
+and each shared flag group is declared once, and a run builds only the parser
+of the subcommand it runs.  An
 optional key=value config file replaces the defaults of the settings flags its
 subcommand offers; explicit flags always win.  Every printed area is an
 operator value: ``strips`` draws geometry only and offers no settings flags.
@@ -317,79 +318,98 @@ def cmd_semigroup(args) -> None:
     )
 
 
+def _flag(*names, **options):
+    return names, options
+
+
+# the shared flag groups; every subcommand offers "out" after the groups it names
+GROUPS = {
+    "f": [_flag("--f", type=parse_integrand, default="pow:1:1", help="integrand spec pow:<c>:<p>")],
+    "alphas": [_flag("--alpha", type=parse_float_list, default=DEFAULT_ALPHAS)],
+    "horizons": [_flag("--t", type=parse_float_list, default=DEFAULT_HORIZONS)],
+    "settings": [
+        _flag("--config", default=None, help="key=value file of settings-flag defaults"),
+        _flag("--abs-tol", dest="abs_tol", type=float, default=DEFAULT_ABS_TOL),
+        _flag("--rel-tol", dest="rel_tol", type=float, default=DEFAULT_REL_TOL),
+        _flag("--budget", type=int, default=DEFAULT_BUDGET, help="adaptive evaluation budget"),
+    ],
+    "sums": [_flag("--n", type=int, default=DEFAULT_SUM_N, help="partition size for the sum routes")],
+    "out": [_flag("--out", default=None, help="output file (default: stdout)")],
+}
+_ALPHA, _T = _flag("--alpha", type=float, required=True), _flag("--t", type=float, required=True)
+_SAMPLES = _flag("--samples", type=int, default=200)
+_EVERY_GROUP = ("f", "alphas", "horizons", "settings", "sums")
+
+# (name, handler, help line, groups, own flags), in the order --help lists them
+COMMANDS = (
+    ("gamma", cmd_gamma, "evaluate the gamma function", (), [_flag("--x", type=float, required=True)]),
+    ("transform", cmd_transform, "sample the forward/inverse transform pair as CSV", (),
+     [_ALPHA, _T, _SAMPLES]),
+    ("compute", cmd_compute, "stream value/oracle rows as CSV", _EVERY_GROUP,
+     [_flag("--method", choices=METHODS, default="transformed")]),
+    ("compare", cmd_compare, "run all four routes and report agreement as JSON", _EVERY_GROUP,
+     [_flag("--tolerance", type=float, default=1e-3, help="pairwise consistency tolerance")]),
+    ("strips", cmd_strips, "emit strip boundary polylines and areas", ("f",), [
+        _ALPHA, _T, _flag("--n-strips", dest="n_strips", type=int, default=5), _SAMPLES,
+        _flag("--svg", default=None, help="also render an SVG to this path"),
+    ]),
+    ("regions", cmd_regions, "emit region outlines and areas for an (alpha, t) family",
+     ("f", "alphas", "horizons", "settings"), [_SAMPLES, _flag("--svg", default=None)]),
+    ("curves", cmd_curves, "emit value curves over t plus transformed-route markers",
+     ("f", "alphas", "settings", "sums"), [
+        _flag("--t-start", dest="t_start", type=float, default=0.0),
+        _flag("--t-stop", dest="t_stop", type=float, default=10.0),
+        _flag("--t-step", dest="t_step", type=float, default=0.1),
+        _flag("--marker-t", dest="marker_t", type=parse_float_list, default=DEFAULT_HORIZONS),
+        _flag("--method", choices=METHODS, default="oracle"),
+    ]),
+    ("semigroup", cmd_semigroup, "check composed orders against the single operator",
+     ("f", "settings", "sums"), [
+        _ALPHA, _flag("--beta", type=float, required=True), _T,
+        _flag("--grid", type=int, default=DEFAULT_COMPOSE_GRID),
+        _flag("--method", choices=METHODS, default="transformed"),
+    ]),
+)
+
+
+class _SubcommandParsers(dict):
+    """COMMANDS rows by name; looking a name up builds its parser once, in place of its row.
+
+    Registered as ``add_parser`` would register each row, through argparse internals
+    (CPython 3.11): the map the subparsers action looks a parsed name up in, and one
+    ``_ChoicesPseudoAction`` per name holding its help line.
+    """
+
+    def __init__(self, sub):
+        super().__init__((row[0], row) for row in COMMANDS)
+        self.prog = sub._prog_prefix
+        sub.choices = sub._name_parser_map = self
+        sub._choices_actions += [sub._ChoicesPseudoAction(row[0], (), row[2]) for row in COMMANDS]
+
+    def __getitem__(self, name):
+        row = super().__getitem__(name)
+        if isinstance(row, argparse.ArgumentParser):
+            return row
+        _, handler, _, groups, flags = row
+        p = self[name] = argparse.ArgumentParser(prog=f"{self.prog} {name}")
+        for names, options in [*(g for key in (*groups, "out") for g in GROUPS[key]), *flags]:
+            p.add_argument(*names, **options)
+        p.set_defaults(handler=handler, parser=p)
+        return p
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The ``fracint`` parser; a parse builds the parser of the subcommand it looks up.
+
+    Each subcommand parser adds its own actions for the groups it names, so a config
+    file's set_defaults on one subcommand reaches no other.
+    """
     parser = argparse.ArgumentParser(
         prog="fracint",
         description="Order-alpha integrals by four named routes on two numerical cores, "
         "with strip-geometry and table/figure data emitters.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    # One parent parser per shared flag group.  The subcommands naming a group share
-    # its action objects, so a config file's set_defaults on one subcommand changes
-    # them for the whole parser: safe only because main builds a fresh parser per call.
-    out, f, alphas, horizons, settings, sums = (
-        argparse.ArgumentParser(add_help=False) for _ in range(6)
-    )
-    out.add_argument("--out", default=None, help="output file (default: stdout)")
-    f.add_argument("--f", type=parse_integrand, default="pow:1:1", help="integrand spec pow:<c>:<p>")
-    alphas.add_argument("--alpha", type=parse_float_list, default=DEFAULT_ALPHAS)
-    horizons.add_argument("--t", type=parse_float_list, default=DEFAULT_HORIZONS)
-    settings.add_argument("--config", default=None, help="key=value file of settings-flag defaults")
-    settings.add_argument("--abs-tol", dest="abs_tol", type=float, default=DEFAULT_ABS_TOL)
-    settings.add_argument("--rel-tol", dest="rel_tol", type=float, default=DEFAULT_REL_TOL)
-    settings.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="adaptive evaluation budget")
-    sums.add_argument("--n", type=int, default=DEFAULT_SUM_N, help="partition size for the sum routes")
-
-    def command(name, handler, help_text, *groups):
-        p = sub.add_parser(name, help=help_text, parents=[*groups, out])
-        p.set_defaults(handler=handler, parser=p)
-        return p
-
-    p = command("gamma", cmd_gamma, "evaluate the gamma function")
-    p.add_argument("--x", type=float, required=True)
-
-    p = command("transform", cmd_transform, "sample the forward/inverse transform pair as CSV")
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--samples", type=int, default=200)
-
-    p = command("compute", cmd_compute, "stream value/oracle rows as CSV",
-                f, alphas, horizons, settings, sums)
-    p.add_argument("--method", choices=METHODS, default="transformed")
-
-    p = command("compare", cmd_compare, "run all four routes and report agreement as JSON",
-                f, alphas, horizons, settings, sums)
-    p.add_argument("--tolerance", type=float, default=1e-3, help="pairwise consistency tolerance")
-
-    p = command("strips", cmd_strips, "emit strip boundary polylines and areas", f)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--n-strips", dest="n_strips", type=int, default=5)
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--svg", default=None, help="also render an SVG to this path")
-
-    p = command("regions", cmd_regions, "emit region outlines and areas for an (alpha, t) family",
-                f, alphas, horizons, settings)
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--svg", default=None)
-
-    p = command("curves", cmd_curves, "emit value curves over t plus transformed-route markers",
-                f, alphas, settings, sums)
-    p.add_argument("--t-start", dest="t_start", type=float, default=0.0)
-    p.add_argument("--t-stop", dest="t_stop", type=float, default=10.0)
-    p.add_argument("--t-step", dest="t_step", type=float, default=0.1)
-    p.add_argument("--marker-t", dest="marker_t", type=parse_float_list, default=DEFAULT_HORIZONS)
-    p.add_argument("--method", choices=METHODS, default="oracle")
-
-    p = command("semigroup", cmd_semigroup, "check composed orders against the single operator",
-                f, settings, sums)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--grid", type=int, default=DEFAULT_COMPOSE_GRID)
-    p.add_argument("--method", choices=METHODS, default="transformed")
-
+    _SubcommandParsers(parser.add_subparsers(dest="command", required=True))
     return parser
 
 

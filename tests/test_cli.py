@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,6 +13,7 @@ import pytest
 import fracint
 from fracint import cli, engines
 from fracint.cli import main
+from fracint.integrand import power_integrand
 from fracint.operator import DEFAULT_COMPOSE_GRID, DEFAULT_SUM_N
 from fracint.quadrature import DEFAULT_ABS_TOL, DEFAULT_BUDGET, DEFAULT_REL_TOL
 
@@ -313,8 +316,38 @@ class TestStripsCommand:
             run(["strips", "--alpha", "0.5", "--t", "2", flag, "1"])
         assert info.value.code == 2
 
+    @pytest.mark.parametrize("p", (0.002, 0.003, 0.0005))
+    def test_small_exponent_areas(self, p, capsys):
+        # below f(5e-324) ~ 0.23 the inverse (y/c)**(1/p) rounds to 0, as it should
+        assert run(["strips", "--f", f"pow:1:{p}", "--alpha", "0.5", "--t", "2"]) == 0
+        _, area_block = blocks_of(capsys.readouterr().out)
+        areas = [float(row["area"]) for row in rows_of(area_block)]
+        # x2_i = t * (1 - (1 - i/n)**2) at order 1/2, each strip sqrt(2) / Gamma(3/2) / 5 wide
+        width = math.sqrt(2.0) / math.gamma(1.5) / 5
+        expected = [(2.0 * (1.0 - (1.0 - i / 5) ** 2)) ** p * width for i in range(5)]
+        assert areas == pytest.approx(expected, rel=1e-11, abs=0.0)
+
+    def test_an_inverse_returning_zero_exits_2(self, monkeypatch, capsys):
+        def zero_inverse(coefficient, exponent):
+            f = power_integrand(coefficient, exponent)
+            return dataclasses.replace(f, inverse=lambda y: np.zeros_like(np.asarray(y, float)))
+
+        monkeypatch.setattr(cli, "power_integrand", zero_inverse)
+        assert run(["strips", "--f", "pow:1:0.002", "--alpha", "0.5", "--t", "2"]) == 2
+        assert "fails round-trip check" in capsys.readouterr().err
+
 
 class TestRegionsCommand:
+    @pytest.mark.parametrize("p", (0.002, 0.003, 0.0005))
+    def test_small_exponent_areas(self, p, capsys):
+        assert run(["regions", "--f", f"pow:1:{p}", "--alpha", "0,0.5", "--t", "2",
+                    "--samples", "8"]) == 0
+        _, area_block = blocks_of(capsys.readouterr().out)
+        areas = [float(row["area"]) for row in rows_of(area_block)]
+        # c * Gamma(p + 1) / Gamma(p + alpha + 1) * t**(p + alpha)
+        expected = [math.gamma(p + 1) / math.gamma(p + a + 1) * 2.0 ** (p + a) for a in (0, 0.5)]
+        assert areas == pytest.approx(expected, rel=1e-9)
+
     def test_blocks(self, tmp_path):
         out = tmp_path / "regions.csv"
         assert run(["regions", "--f", "pow:1:0.5", "--alpha", "0,1", "--t", "4",

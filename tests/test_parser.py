@@ -1,0 +1,174 @@
+"""The ``fracint`` parser builds a subcommand's parser only when a parse looks it up.
+
+``_parser_before`` is a verbatim copy of the parser that built all 15 parsers
+on every run.  Each argv below goes through ``cli.main`` once with each parser:
+stdout, stderr, the exit code and every namespace parsed must be the same.
+This pins the argparse internals the lazy registration relies on.
+"""
+
+import argparse
+
+import pytest
+
+from fracint import cli
+from fracint.integrand import Integrand
+
+import _parser_before as before
+
+NAMES = [row[0] for row in cli.COMMANDS]
+
+ERRORS = [[], ["--help"], ["-h"], ["bogus"], ["--bogus"], ["--f", "pow:1:1"]] + [
+    [name, *tail] for name in NAMES for tail in (
+        ["--help"], [], ["--method", "bogus"], ["--bogus"], ["--out"], ["--t", "x"],
+    )
+]
+
+PARSED = [
+    ["gamma", "--x", "0.5"],
+    ["transform", "--alpha", "0.5", "--t", "2", "--samples", "7", "--out", "x.csv"],
+    ["compute", "--f", "pow:2:1.5", "--alpha", "0.3,0.6", "--t", "1", "--method", "cavalieri",
+     "--n", "50", "--budget", "99", "--abs-tol", "1e-8", "--rel-tol", "1e-9"],
+    ["compute", "--f", "sin:1:1"],
+    ["compute", "--a", "1"],
+    ["compare", "--tol", "0.5"],
+    ["strips", "--alpha", "0.5", "--t", "2", "--n", "3", "--svg", "s.svg"],
+    ["regions", "--alpha", "0,1", "--samples", "9"],
+    ["curves", "--t-start", "1", "--t-stop", "2", "--t-step", "0.5", "--marker-t", "1,2",
+     "--method", "direct"],
+    ["semigroup", "--alpha", "0.3", "--beta", "0.4", "--t", "1", "--grid", "9"],
+]
+
+# a config file per subcommand that takes one, plus an explicit flag that must win
+CONFIGS = {
+    "compute": "abs_tol = 1e-7\nbudget = 321\nn = 64\n",
+    "compare": "tolerance = 0.25\nrel_tol = 1e-6\n",
+    "regions": "budget = 321\nabs_tol = 1e-7\n",
+    "curves": "n = 64\nabs_tol = 1e-7\n",
+    "semigroup": "rel_tol = 1e-6\nn = 64\n",
+}
+
+
+def digest(namespace):
+    """The namespace's values, with integrands by what they are rather than by identity."""
+    values = dict(vars(namespace))
+    del values["parser"]
+    for key, value in values.items():
+        if isinstance(value, Integrand):
+            values[key] = (value.label, value.power, value.monotone)
+    return values
+
+
+def outcome(build, argv, monkeypatch, capsys):
+    """stdout, stderr, exit code and parsed namespaces of ``cli.main(argv)`` with ``build``.
+
+    The handler of every parsed namespace is replaced by one that does nothing, so
+    only the parse runs, the --config reparse included.
+    """
+    namespaces = []
+
+    def recording_build():
+        parser = build()
+        parse = parser.parse_args
+
+        def parse_args(args=None):
+            namespace = parse(args)
+            namespaces.append(digest(namespace))
+            namespace.handler = lambda args: None
+            return namespace
+
+        parser.parse_args = parse_args
+        return parser
+
+    monkeypatch.setattr(cli, "build_parser", recording_build)
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return out, err, code, namespaces
+
+
+def assert_same_as_before(argv, monkeypatch, capsys):
+    now = outcome(cli.build_parser, argv, monkeypatch, capsys)
+    assert now == outcome(before.build_parser, argv, monkeypatch, capsys)
+    return now
+
+
+@pytest.mark.parametrize("argv", ERRORS, ids=" ".join)
+def test_help_usage_and_errors_match_the_eager_parser(argv, monkeypatch, capsys):
+    _, _, code, _ = assert_same_as_before(argv, monkeypatch, capsys)
+    assert code in (0, 2)  # a subcommand whose flags are all optional parses []
+
+
+@pytest.mark.parametrize("argv", PARSED, ids=" ".join)
+def test_namespaces_match_the_eager_parser(argv, monkeypatch, capsys):
+    assert_same_as_before(argv, monkeypatch, capsys)
+
+
+@pytest.mark.parametrize("command", sorted(CONFIGS))
+def test_config_reparse_matches_the_eager_parser(command, tmp_path, monkeypatch, capsys):
+    config = tmp_path / "fracint.conf"
+    config.write_text(CONFIGS[command])
+    argv = {"semigroup": ["semigroup", "--alpha", "0.3", "--beta", "0.4", "--t", "1"]}.get(
+        command, [command]
+    )
+    _, _, code, namespaces = assert_same_as_before(
+        argv + ["--budget", "7", "--config", str(config)], monkeypatch, capsys
+    )
+    assert code == 0
+    assert namespaces[-1]["budget"] == 7  # the explicit flag wins over the file
+    assert namespaces[-1] != namespaces[0]
+
+
+def test_config_key_another_subcommand_has_matches_the_eager_parser(
+    tmp_path, monkeypatch, capsys
+):
+    config = tmp_path / "fracint.conf"
+    config.write_text("n = 64\n")
+    _, err, code, _ = assert_same_as_before(
+        ["regions", "--config", str(config)], monkeypatch, capsys
+    )
+    assert code == 2 and "unknown config key 'n' for fracint regions" in err
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The prog of every ArgumentParser built, in order."""
+    progs = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        progs.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    return progs
+
+
+def test_transform_builds_only_its_parser(built, tmp_path):
+    out = tmp_path / "transform.csv"
+    assert cli.main(["transform", "--alpha", "0.5", "--t", "2", "--samples", "3",
+                     "--out", str(out)]) == 0
+    assert built == ["fracint", "fracint transform"]
+
+
+def test_compare_builds_only_its_parser_once_with_a_config(built, tmp_path):
+    config = tmp_path / "fracint.conf"
+    config.write_text("tolerance = 0.5\n")
+    out = tmp_path / "compare.json"
+    assert cli.main(["compare", "--alpha", "0.5", "--t", "1", "--n", "10", "--config",
+                     str(config), "--out", str(out)]) == 0
+    assert built == ["fracint", "fracint compare"]
+
+
+def test_top_level_help_lists_every_subcommand_and_builds_none(built, capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["--help"])
+    assert info.value.code == 0
+    assert built == ["fracint"]
+    out = capsys.readouterr().out
+    assert "{" + ",".join(NAMES) + "}" in out
+    words = " ".join(out.split())  # a long help line wraps
+    for name, _, help_text, *_ in cli.COMMANDS:
+        assert f" {name} {help_text} " in words
+    assert len(NAMES) == 8

@@ -1,5 +1,6 @@
 import itertools
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -250,3 +251,40 @@ class TestTranslateCheck:
         b = build_strips(LINEAR, make_transform(0.8, 2.0), 1, 100)
         with pytest.raises(IncompatibleSamplingError):
             translate_check(a, b)
+
+
+class TestSmallExponents:
+    """c*tau**p with a small p: the analytic inverse rounds to 0 below f(5e-324) ~ 0.23."""
+
+    @staticmethod
+    def closed_form_areas(c, p, alpha, t, n):
+        # strip i is f(x2_i) high and t**alpha / Gamma(alpha + 1) / n wide, with
+        # x2_i = t * (1 - (1 - i/n)**(1/alpha)) the image of the i-th partition point
+        with mp.workdps(40):
+            width = mp.mpf(t) ** alpha / mp.gamma(alpha + 1) / n
+            return [
+                float(c * (t * (1 - (1 - mp.mpf(i) / n) ** (1 / mp.mpf(alpha)))) ** p * width)
+                for i in range(n)
+            ]
+
+    @pytest.mark.parametrize("p", (0.002, 0.003, 0.0005))
+    @pytest.mark.parametrize("alpha,t,n", ((0.5, 2.0, 5), (0.8, 10.0, 17), (1.0, 0.5, 3)))
+    def test_strip_areas_match_closed_form(self, p, alpha, t, n):
+        f = power_integrand(1.0, p)
+        geom = build_strips(f, make_transform(alpha, t), n, 50)
+        expected = self.closed_form_areas(1.0, p, alpha, t, n)
+        assert geom.strip_areas == pytest.approx(expected, rel=1e-13, abs=0.0)
+        assert geom.heights[-1] == pytest.approx(t**p, rel=1e-15)
+        assert len(geom.boundaries) == n + 1
+
+    @pytest.mark.parametrize("p", (0.002, 0.0005))
+    def test_region_family_accepts_them(self, p):
+        f = power_integrand(3.0, p)
+        family = region_family(f, [0.0, 0.5], [2.0], samples=16)
+        assert [g.alpha for g in family] == [0.0, 0.5]
+        assert family[0].heights[-1] == pytest.approx(3.0 * 2.0**p, rel=1e-15)
+
+    def test_an_inverse_moved_past_t_by_rounding_is_refused(self):
+        # (2**1e-6)**1e6 rounds about 1.5e-11 past t = 2, beyond the 2e-12 slack of the transform
+        with pytest.raises(DomainError, match=r"fails round-trip check .*outside \[0, 2\]"):
+            build_strips(power_integrand(1.0, 1e-6), make_transform(0.5, 2.0), 5)
