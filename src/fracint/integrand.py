@@ -81,12 +81,14 @@ def power_integrand(coefficient: float, exponent: float) -> Integrand:
 def inverse_value(f: Integrand, y, upper: float):
     """f^{-1}(y) on [0, upper]: analytic inverse if present, else bisection.
 
-    Bisection needs a declared monotone direction; it stops once the
-    bracket is below 1e-13 * upper.
+    y must lie in the range of f on [0, upper], within 1e-9 of its span.  An
+    analytic inverse is clipped into [0, upper], where the root lies, and every
+    value it returns must round-trip: f at its two neighbouring doubles in
+    [0, upper] brackets y, or |f(x) - y| <= 1e-10 * max(1, |f(0)|, |f(upper)|).
+    Bisection needs a declared monotone direction; it stops once the bracket
+    is below 1e-13 * upper.
     """
-    if f.inverse is not None:
-        return evaluate(f.inverse, y)
-    if f.monotone == UNKNOWN:
+    if f.inverse is None and f.monotone == UNKNOWN:
         raise NonMonotoneError(
             f"integrand {f.label!r} has no inverse and no declared monotone direction"
         )
@@ -94,16 +96,28 @@ def inverse_value(f: Integrand, y, upper: float):
     ys = np.asarray(y, dtype=float)
     f_lo = evaluate(f, 0.0)
     f_hi = evaluate(f, upper)
-    lo_val, hi_val = (f_lo, f_hi) if f.monotone == INCREASING else (f_hi, f_lo)
+    lo_val, hi_val = (f_hi, f_lo) if f.monotone == DECREASING else (f_lo, f_hi)
     slack = 1e-9 * max(1.0, abs(hi_val - lo_val))
     if np.any(ys < lo_val - slack) or np.any(ys > hi_val + slack):
         raise DomainError(
             f"value outside the range [{lo_val:g}, {hi_val:g}] of {f.label!r} on [0, {upper:g}]"
         )
-    return bisect_monotone(
-        f, np.clip(ys, lo_val, hi_val), 0.0, upper, tol=1e-13 * float(upper),
-        increasing=f.monotone == INCREASING,
-    )
+    ys = np.clip(ys, lo_val, hi_val)
+    if f.inverse is None:
+        return bisect_monotone(
+            f, ys, 0.0, upper, tol=1e-13 * float(upper), increasing=f.monotone == INCREASING
+        )
+
+    xs = np.clip(np.asarray(evaluate(f.inverse, ys)), 0.0, upper)
+    # a correctly rounded inverse can land one ulp either side of its root; for c*tau**p
+    # with a small p, f jumps from 0 to about 0.23 between 0 and the smallest subnormal
+    f_below = evaluate(f, np.maximum(np.nextafter(xs, -np.inf), 0.0))
+    f_above = evaluate(f, np.minimum(np.nextafter(xs, np.inf), upper))
+    bracketed = (np.minimum(f_below, f_above) <= ys) & (ys <= np.maximum(f_below, f_above))
+    resid = np.max(np.where(bracketed, 0.0, np.abs(evaluate(f, xs) - ys)), initial=0.0)
+    if not resid <= 1e-10 * max(1.0, abs(f_lo), abs(f_hi)):
+        raise DomainError(f"inverse of {f.label!r} fails round-trip check (residual {resid:.3e})")
+    return float(xs) if xs.ndim == 0 else xs
 
 
 def bisect_monotone(fn, targets, lo: float, hi: float, tol: float = 0.0, increasing: bool = True):

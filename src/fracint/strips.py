@@ -57,25 +57,6 @@ def _require_increasing_from_zero(f: Integrand, t: float) -> float:
     f0 = float(evaluate(f, 0.0))
     if abs(f0) > 1e-12 * max(1.0, abs(ft)):
         raise DomainError(f"integrand must vanish at 0, got f(0) = {f0:g}")
-    if f.inverse is not None:  # round trip f(f^{-1}(y)) = y at 17 heights
-        ys = np.linspace(min(f0, ft), max(f0, ft), 17)
-        xs = evaluate(f.inverse, ys)
-        fx = evaluate(f, xs)
-        # an inverse within one ulp below the root is exact: for c*tau**p with a small p,
-        # f jumps from 0 to about 0.23 between 0 and the smallest subnormal
-        bracketed = (fx <= ys) & (ys <= evaluate(f, np.nextafter(xs, np.inf)))
-        resid = np.max(np.where(bracketed, 0.0, np.abs(fx - ys)))
-        if resid > 1e-10 * max(1.0, abs(ft), abs(f0)):
-            raise DomainError(
-                f"inverse of {f.label!r} fails round-trip check (residual {resid:.3e})"
-            )
-        # f^{-1}(f(t)) must be t within TransformPair.forward's slack; for p below
-        # about 1e-4 the rounding of f(t) can move it further
-        if not (np.min(xs) >= -1e-12 * t and np.max(xs) <= t + 1e-12 * t):
-            raise DomainError(
-                f"inverse of {f.label!r} fails round-trip check "
-                f"(it maps [{f0:g}, {ft:.17g}] outside [0, {t:g}])"
-            )
     return ft
 
 
@@ -89,6 +70,12 @@ def _assemble(f, alpha, t, width, n, left, x2, samples) -> StripGeometry:
     base_xs = left(f, ys)
     heights = evaluate(f, x2)
     strip_width = width / n
+    # each area is at most the integral over its strip, so an overflow here is the value's
+    with np.errstate(over="ignore"):
+        areas = strip_areas(heights[:n], width, n)
+    if not np.isfinite(areas).all():
+        i = int(np.argmin(np.isfinite(areas)))
+        raise NumericalError(f"area of strip {i} = {heights[i]:g} * {strip_width:g} is not finite")
     y_tol = 1e-12 * max(1.0, ft)
 
     boundaries = []
@@ -115,7 +102,7 @@ def _assemble(f, alpha, t, width, n, left, x2, samples) -> StripGeometry:
         strip_width=strip_width,
         boundaries=tuple(boundaries),
         heights=heights,
-        strip_areas=strip_areas(heights[:n], width, n),
+        strip_areas=areas,
         region_outline=outline,
     )
 

@@ -20,6 +20,11 @@ from fracint.quadrature import DEFAULT_ABS_TOL, DEFAULT_BUDGET, DEFAULT_REL_TOL
 from _reference import FOUR_OVER_3SQRTPI
 
 
+# (p, t) of power integrands with small exponents; the ids of the t = 2 cases name p alone
+SMALL_EXPONENTS = [pytest.param(p, 2.0, id=f"{p}") for p in (0.002, 0.003, 0.0005, 1e-06, 3e-05)]
+SMALL_EXPONENTS.append(pytest.param(1e-12, 1000.0, id="1e-12-1000"))
+
+
 def run(args):
     return main(args)
 
@@ -316,15 +321,16 @@ class TestStripsCommand:
             run(["strips", "--alpha", "0.5", "--t", "2", flag, "1"])
         assert info.value.code == 2
 
-    @pytest.mark.parametrize("p", (0.002, 0.003, 0.0005))
-    def test_small_exponent_areas(self, p, capsys):
-        # below f(5e-324) ~ 0.23 the inverse (y/c)**(1/p) rounds to 0, as it should
-        assert run(["strips", "--f", f"pow:1:{p}", "--alpha", "0.5", "--t", "2"]) == 0
+    @pytest.mark.parametrize("p, t", SMALL_EXPONENTS)
+    def test_small_exponent_areas(self, p, t, capsys):
+        # below f(5e-324) ~ 0.23 the inverse (y/c)**(1/p) rounds to 0, as it should, and
+        # below p ~ 1e-4 f^{-1}(f(t)) can round past t, where it is kept at t
+        assert run(["strips", "--f", f"pow:1:{p}", "--alpha", "0.5", "--t", f"{t:g}"]) == 0
         _, area_block = blocks_of(capsys.readouterr().out)
         areas = [float(row["area"]) for row in rows_of(area_block)]
-        # x2_i = t * (1 - (1 - i/n)**2) at order 1/2, each strip sqrt(2) / Gamma(3/2) / 5 wide
-        width = math.sqrt(2.0) / math.gamma(1.5) / 5
-        expected = [(2.0 * (1.0 - (1.0 - i / 5) ** 2)) ** p * width for i in range(5)]
+        # x2_i = t * (1 - (1 - i/n)**2) at order 1/2, each strip sqrt(t) / Gamma(3/2) / 5 wide
+        width = math.sqrt(t) / math.gamma(1.5) / 5
+        expected = [(t * (1.0 - (1.0 - i / 5) ** 2)) ** p * width for i in range(5)]
         assert areas == pytest.approx(expected, rel=1e-11, abs=0.0)
 
     def test_an_inverse_returning_zero_exits_2(self, monkeypatch, capsys):
@@ -338,14 +344,14 @@ class TestStripsCommand:
 
 
 class TestRegionsCommand:
-    @pytest.mark.parametrize("p", (0.002, 0.003, 0.0005))
-    def test_small_exponent_areas(self, p, capsys):
-        assert run(["regions", "--f", f"pow:1:{p}", "--alpha", "0,0.5", "--t", "2",
+    @pytest.mark.parametrize("p, t", SMALL_EXPONENTS)
+    def test_small_exponent_areas(self, p, t, capsys):
+        assert run(["regions", "--f", f"pow:1:{p}", "--alpha", "0,0.5", "--t", f"{t:g}",
                     "--samples", "8"]) == 0
         _, area_block = blocks_of(capsys.readouterr().out)
         areas = [float(row["area"]) for row in rows_of(area_block)]
         # c * Gamma(p + 1) / Gamma(p + alpha + 1) * t**(p + alpha)
-        expected = [math.gamma(p + 1) / math.gamma(p + a + 1) * 2.0 ** (p + a) for a in (0, 0.5)]
+        expected = [math.gamma(p + 1) / math.gamma(p + a + 1) * t ** (p + a) for a in (0, 0.5)]
         assert areas == pytest.approx(expected, rel=1e-9)
 
     def test_blocks(self, tmp_path):
@@ -453,6 +459,20 @@ def test_overflowing_integrand_exits_3_before_sampling(command, capsys):
         warnings.simplefilter("error", RuntimeWarning)
         assert run(command + ["--f", "pow:8e307:1", "--alpha", "0.5", "--t", "4"]) == 3
     assert capsys.readouterr().err == "fracint: integrand value f(4) = inf is not finite\n"
+
+
+@pytest.mark.parametrize(("command", "width"), (
+    (["strips", "--n-strips", "3", "--samples", "3"], "3.76126e+149"),
+    (["regions", "--samples", "3"], "1.12838e+150"),
+))
+def test_overflowing_strip_area_exits_3(command, width, capsys):
+    # the first strip is 1.5e284 high: f(h(0)) with h(0) = 1e300 - (1e150)**2 > 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(command + ["--alpha", "0.5", "--t", "1e300"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"fracint: area of strip 0 = 1.48702e+284 * {width} is not finite\n"
 
 
 @pytest.mark.parametrize("argv", (
@@ -582,6 +602,12 @@ class TestSemigroupCommand:
     ["regions", "--t", "2,x"],
     ["curves", "--alpha", "x"],
     ["curves", "--marker-t", "x"],
+    ["compute", "--f", "pow:a:1"],
+    ["compute", "--f", "pow:inf:1"],
+    ["compute", "--f", "pow:1:-1"],
+    ["compare", "--alpha", ","],
+    ["compute", "--config", "."],  # a directory cannot be read as a config
+    ["curves", "--t-start", "-1", "--t-stop", "1"],
 ))
 def test_malformed_input_exits_2_before_any_work(argv, monkeypatch, capsys):
     def refuse(*args, **kwargs):

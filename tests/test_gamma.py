@@ -102,6 +102,11 @@ def test_integral_definition_oracle():
         assert gamma(x) == pytest.approx(gamma_integral_oracle(x), rel=1e-8)
 
 
+def test_recip_gamma_refuses_nan():
+    with pytest.raises(DomainError, match="must be finite"):
+        recip_gamma(float("nan"))
+
+
 def test_far_negative_arguments_underflow():
     # Gamma is finite but subnormal here, and below it rounds to a signed zero
     assert gamma(-171.7) == float(mp_gamma(-171.7))

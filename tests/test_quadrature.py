@@ -66,6 +66,20 @@ class TestAdaptiveEngine:
         with pytest.raises(DomainError):
             adaptive_quadrature(np.exp, 1.0, 0.0)
 
+    def test_infinite_limit_rejected(self):
+        with pytest.raises(DomainError, match="limits must be finite"):
+            adaptive_quadrature(np.exp, 0.0, np.inf)
+
+    @pytest.mark.parametrize(("fields", "refusal"), (
+        (("sum", 0.0, 1), "unknown method 'sum'"),
+        (("direct", -1e-9, 1), "error estimate must be >= 0"),
+        (("direct", 0.0, 0), "evaluation count must be positive"),
+    ), ids=("method", "estimate", "evaluations"))
+    def test_result_refuses_bad_bookkeeping(self, fields, refusal):
+        method, estimate, evaluations = fields
+        with pytest.raises(DomainError, match=refusal):
+            QuadratureResult(1.0, estimate, method, evaluations)
+
     def test_budget_exhaustion_carries_best_value(self):
         with pytest.raises(BudgetExhaustedError) as info:
             adaptive_quadrature(lambda x: np.sqrt(x), 0.0, 1.0, 1e-14, 1e-14, budget=64)
@@ -300,6 +314,8 @@ class TestCavalieriRegion:
     def test_integrator_is_twice_x(self):
         xs = np.linspace(0.5, 2.0, 11)
         assert np.allclose(self.region.integrator(xs), 2.0 * xs, rtol=1e-13)
+        value = self.region.integrator(1.25)
+        assert type(value) is float and value == pytest.approx(2.5, rel=1e-13)
 
     def test_area(self):
         assert self.region.area() == pytest.approx(3.75, abs=1e-9)
@@ -555,6 +571,10 @@ class TestPartition:
 
 
 class TestEvaluate:
+    def test_unknown_monotonicity_tag_rejected(self):
+        with pytest.raises(DomainError, match="unknown monotonicity tag 'up'"):
+            Integrand(fn=np.sqrt, monotone="up")
+
     def test_scalar_only_callable_that_raises_on_arrays(self):
         xs = np.array([[0.0, 1.0], [4.0, 9.0]])
         assert np.array_equal(evaluate(math.sqrt, xs), np.sqrt(xs))

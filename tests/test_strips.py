@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import mpmath as mp
@@ -12,6 +13,7 @@ from fracint.errors import (
     DomainError,
     IncompatibleSamplingError,
     NonMonotoneError,
+    NumericalError,
 )
 from fracint.integrand import Integrand, evaluate, power_integrand
 from fracint.operator import FractionalOperator
@@ -114,6 +116,29 @@ class TestBuildStrips:
         with pytest.raises(DomainError):
             build_strips(lying, make_transform(0.5, 4.0), 3)
 
+    @pytest.mark.parametrize("draw", (
+        lambda f: build_strips(f, make_transform(0.5, 4.0), 3),
+        lambda f: region_family(f, [0.0], [4.0]),
+        lambda f: make_transform(0.5, 4.0).left_boundary(f, np.array([0.125, 1.0])),
+    ), ids=("build_strips", "region_family", "left_boundary"))
+    def test_inverse_wrong_between_fixed_heights_is_caught(self, draw):
+        # exact at the heights k/4, up to 0.1 off between them: every returned value is checked
+        wavy = Integrand(
+            fn=lambda x: np.asarray(x, float),
+            monotone="increasing",
+            inverse=lambda y: y + 0.1 * np.sin(4.0 * np.pi * y),
+            label="wavy",
+        )
+        with pytest.raises(DomainError, match=r"inverse of 'wavy' fails round-trip check \(residual"):
+            draw(wavy)
+
+    def test_overflowing_strip_area_is_a_numerical_failure(self):
+        # heights near 1e300 times a strip width near 1e150, with no numpy warning
+        with pytest.raises(NumericalError, match=r"area of strip 0 = .* is not finite"):
+            build_strips(LINEAR, make_transform(0.5, 1e300), 3, 3)
+        with pytest.raises(NumericalError, match=r"area of strip 0 = .* is not finite"):
+            region_family(LINEAR, [0.5], [1e300], samples=3)
+
     def test_geometry_runs_no_quadrature(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("the strip geometry integrated")
@@ -136,10 +161,9 @@ class TestStripSumsTotalTheStripAreas:
         )
         try:
             total = build_strips(f, pair, n, 2).strip_area_sum
-        except DomainError as exc:
-            # the geometry refuses a constant f (p = 0), and a small p whose analytic
-            # inverse underflows its round-trip check: total the areas it would hold
-            assert p == 0.0 or "fails round-trip check" in str(exc)
+        except NonMonotoneError:
+            # the geometry refuses only a constant f (p = 0): total the areas it would hold
+            assert p == 0.0
             heights = evaluate(f, make_partition(pair, n))
             total = float(np.sum(strip_areas(heights[:n], pair.width, n)))
         assert s.value == total
@@ -252,6 +276,13 @@ class TestTranslateCheck:
         with pytest.raises(IncompatibleSamplingError):
             translate_check(a, b)
 
+    def test_right_edges_of_different_lengths_rejected(self):
+        a = build_strips(LINEAR, make_transform(0.8, 10.0), 1, 150)
+        b = build_strips(LINEAR, make_transform(0.8, 2.0), 1, 150)
+        short = dataclasses.replace(b, boundaries=b.boundaries[:-1] + (b.boundaries[-1][:-1],))
+        with pytest.raises(IncompatibleSamplingError, match="different sample counts"):
+            translate_check(a, short)
+
 
 class TestSmallExponents:
     """c*tau**p with a small p: the analytic inverse rounds to 0 below f(5e-324) ~ 0.23."""
@@ -284,7 +315,11 @@ class TestSmallExponents:
         assert [g.alpha for g in family] == [0.0, 0.5]
         assert family[0].heights[-1] == pytest.approx(3.0 * 2.0**p, rel=1e-15)
 
-    def test_an_inverse_moved_past_t_by_rounding_is_refused(self):
-        # (2**1e-6)**1e6 rounds about 1.5e-11 past t = 2, beyond the 2e-12 slack of the transform
-        with pytest.raises(DomainError, match=r"fails round-trip check .*outside \[0, 2\]"):
-            build_strips(power_integrand(1.0, 1e-6), make_transform(0.5, 2.0), 5)
+    @pytest.mark.parametrize("p,t", ((1e-6, 2.0), (3e-05, 2.0), (1e-12, 1000.0)))
+    def test_an_inverse_moved_past_t_by_rounding_is_drawn(self, p, t):
+        # (2**1e-6)**1e6 rounds about 1.5e-11 past t = 2; the inverse is kept inside [0, t]
+        f = power_integrand(1.0, p)
+        geom = build_strips(f, make_transform(0.5, t), 5)
+        expected = self.closed_form_areas(1.0, p, 0.5, t, 5)
+        assert geom.strip_areas == pytest.approx(expected, rel=1e-13, abs=0.0)
+        assert tuple(geom.boundaries[-1][-1]) == pytest.approx((t, f(t)), rel=1e-15, abs=0.0)
