@@ -20,19 +20,13 @@ from .errors import (
 from .gamma import gamma, recip_gamma
 from .integrand import Integrand, power_integrand
 from .transforms import TransformPair, make_transform
-from .quadrature import (
-    CavalieriRegion,
-    adaptive_quadrature,
-    stieltjes_integral,
-    stieltjes_riemann_sum,
-)
+from .quadrature import CavalieriRegion, adaptive_quadrature, stieltjes_integral
 from .engines import (
     QuadratureResult,
     cauchy_repeated,
     cavalieri_sum,
     direct_rl,
     make_partition,
-    nested_integral_oracle,
     stieltjes_sum,
     transformed_riemann,
 )
@@ -66,13 +60,11 @@ __all__ = [
     "gamma",
     "make_partition",
     "make_transform",
-    "nested_integral_oracle",
     "power_integrand",
     "power_oracle",
     "recip_gamma",
     "region_family",
     "stieltjes_integral",
-    "stieltjes_riemann_sum",
     "stieltjes_sum",
     "transformed_riemann",
     "translate_check",

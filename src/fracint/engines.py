@@ -13,8 +13,8 @@ Gamma(alpha+1) x mirrors and rescales the transformed axis, so both run the
 adaptive core.  ``stieltjes`` and ``cavalieri`` are one sum, because
 g(h(x)) = x makes every integrator increment a strip width, so both run the
 strip-sum core, which totals the strip areas the geometry draws.  ``compare``
-checks the adaptive core against the strip sum; ``direct_rl(..., substitute=False)``
-keeps the raw kernel form as an independent cross-check.
+checks the adaptive core against the strip sum.  ``cauchy_repeated`` integrates
+the integer-order kernel form directly.
 """
 
 import math
@@ -109,10 +109,10 @@ def _strip_sum(f, pair, n, method) -> QuadratureResult:
 
 
 def _kernel_form(f, k, t, budget, abs_tol, rel_tol) -> QuadratureResult:
-    """(1/Gamma(k)) int_0^t (t - tau)**(k-1) f(tau) dtau, the raw kernel form.
+    """(1/(k-1)!) int_0^t (t - tau)**(k-1) f(tau) dtau for an integer k >= 1.
 
-    The weight is ((t - tau)/t)**(k-1), at most 1 for k >= 1, and the factor
-    t**(k-1)/Gamma(k) goes into the scale through logarithms, so neither
+    The weight is ((t - tau)/t)**(k-1), at most 1, and the factor
+    t**(k-1)/(k-1)! goes into the scale through logarithms, so neither
     overflows before the two meet.
     """
 
@@ -138,20 +138,13 @@ def direct_rl(
     budget: int = DEFAULT_BUDGET,
     abs_tol: float = DEFAULT_ABS_TOL,
     rel_tol: float = DEFAULT_REL_TOL,
-    substitute: bool = True,
 ) -> QuadratureResult:
     """Kernel-form route: (1/Gamma(alpha)) int_0^t (t-tau)**(alpha-1) f(tau) dtau.
 
-    With ``substitute`` (default) the change of variable u = (t - tau)**alpha
-    turns the weighted measure into du / (alpha * Gamma(alpha)) and leaves a
-    bounded integrand: the adaptive core.  ``substitute=False`` integrates the
-    raw form, which the interior-node rule tolerates; it is kept as a slower
-    cross-check.
+    The change of variable u = (t - tau)**alpha turns the weighted measure into
+    du / (alpha * Gamma(alpha)) and leaves a bounded integrand: the adaptive core.
     """
-    pair = make_transform(alpha, t)
-    if substitute:
-        return _adaptive_core(f, pair, budget, abs_tol, rel_tol, "direct")
-    return _kernel_form(f, pair.alpha, pair.t, budget, abs_tol, rel_tol)
+    return _adaptive_core(f, make_transform(alpha, t), budget, abs_tol, rel_tol, "direct")
 
 
 def stieltjes_sum(f: Integrand, pair: TransformPair, n: int) -> QuadratureResult:
@@ -201,22 +194,3 @@ def cauchy_repeated(
         raise DomainError(f"repetition count must be a positive integer, got {n!r}")
     return _kernel_form(f, n, validate_horizon(t), budget, abs_tol, rel_tol)
 
-
-def nested_integral_oracle(f: Integrand, n: int, t: float) -> float:
-    """Brute-force n-fold nested integration on 20 001 uniform points (n in {1, 2, 3}).
-
-    Repeated cumulative trapezoid integration; deliberately independent of the
-    adaptive engine so it can validate cauchy_repeated.
-    """
-    if n not in (1, 2, 3):
-        raise DomainError(f"nested oracle supports n in {{1, 2, 3}}, got {n!r}")
-    t = validate_horizon(t)
-    grid = np.linspace(0.0, t, 20_001)
-    dx = grid[1] - grid[0]
-    values = np.atleast_1d(np.asarray(evaluate(f, grid), dtype=float))
-    for _ in range(n):
-        cumulative = np.concatenate(
-            ([0.0], np.cumsum(0.5 * (values[1:] + values[:-1]) * dx))
-        )
-        values = cumulative
-    return float(values[-1])

@@ -5,7 +5,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, NonMonotoneError
+from .errors import DomainError, NonMonotoneError, NumericalError
 
 INCREASING = "increasing"
 DECREASING = "decreasing"
@@ -81,7 +81,8 @@ def power_integrand(coefficient: float, exponent: float) -> Integrand:
 def inverse_value(f: Integrand, y, upper: float):
     """f^{-1}(y) on [0, upper]: analytic inverse if present, else bisection.
 
-    y must lie in the range of f on [0, upper], within 1e-9 of its span.  An
+    f(0) and f(upper) must be finite (NumericalError otherwise), and y must lie
+    in the range of f on [0, upper], within 1e-9 of its span.  An
     analytic inverse is clipped into [0, upper], where the root lies, and every
     value it returns must round-trip: f at its two neighbouring doubles in
     [0, upper] brackets y, or |f(x) - y| <= 1e-10 * max(1, |f(0)|, |f(upper)|).
@@ -94,8 +95,13 @@ def inverse_value(f: Integrand, y, upper: float):
         )
 
     ys = np.asarray(y, dtype=float)
-    f_lo = evaluate(f, 0.0)
-    f_hi = evaluate(f, upper)
+    with np.errstate(over="ignore"):
+        f_lo = evaluate(f, 0.0)
+        f_hi = evaluate(f, upper)
+    if not (np.isfinite(f_lo) and np.isfinite(f_hi)):
+        raise NumericalError(
+            f"integrand {f.label!r} is not finite at 0 or {upper:g}: {f_lo!r}, {f_hi!r}"
+        )
     lo_val, hi_val = (f_hi, f_lo) if f.monotone == DECREASING else (f_lo, f_hi)
     slack = 1e-9 * max(1.0, abs(hi_val - lo_val))
     if np.any(ys < lo_val - slack) or np.any(ys > hi_val + slack):

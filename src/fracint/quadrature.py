@@ -166,19 +166,6 @@ def adaptive_quadrature(
         errors.append(right_err)
 
 
-def stieltjes_riemann_sum(f, g, lower: float, upper: float, n: int) -> float:
-    """Left-endpoint Riemann-Stieltjes sum of f against integrator g.
-
-    sum_{i=0}^{n-1} f(x_i) * (g(x_{i+1}) - g(x_i)) on a uniform partition.
-    """
-    if n < 1:
-        raise DomainError(f"partition size must be >= 1, got {n}")
-    x = np.linspace(float(lower), float(upper), int(n) + 1)
-    gx = evaluate(g, x)
-    fx = evaluate(f, x[:-1])
-    return float(np.dot(np.atleast_1d(fx), np.diff(np.atleast_1d(gx))))
-
-
 def stieltjes_integral(
     f,
     g_prime,
@@ -263,10 +250,3 @@ class CavalieriRegion:
 
         value, _, _ = adaptive_quadrature(composed, a0, b0, abs_tol, rel_tol, budget)
         return value
-
-    def lower_sum(self, n: int) -> float:
-        """Left-endpoint strip sum: sum f(h(x_i)) * dx over n equal-width strips."""
-        a0, b0 = self.footprint
-        return stieltjes_riemann_sum(
-            lambda x: evaluate(self.f, self.inverse(x)), lambda x: x, a0, b0, n
-        )

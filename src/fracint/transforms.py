@@ -99,10 +99,6 @@ class TransformPair:
         tau = inverse_value(f, y, self.t)
         return tau - self.forward(tau)
 
-    def right_boundary(self, f: Integrand, y):
-        """Right strip-boundary abscissa: the left one shifted by the constant width."""
-        return self.left_boundary(f, y) + self.width
-
     def __repr__(self):
         return f"TransformPair(alpha={self.alpha:g}, t={self.t:g})"
 

@@ -1,10 +1,17 @@
-"""Frozen high-precision reference values and closed forms for the tests.
+"""Frozen high-precision reference values, closed forms and a brute-force oracle.
 
 The constants below were computed once with mpmath at 40 decimal digits and
 frozen; they are deliberately independent of the library's own gamma and
 quadrature code.  The closed-form helpers instantiate the analytic value of
-the order-alpha integral for the two power families used throughout.
+the order-alpha integral for the two power families used throughout, and
+``nested_integral_oracle`` integrates repeatedly on a uniform grid.
 """
+
+import numpy as np
+
+from fracint.errors import DomainError
+from fracint.integrand import Integrand, evaluate
+from fracint.transforms import validate_horizon
 
 SQRT_PI = 1.772453850905516
 FOUR_OVER_3SQRTPI = 0.7522527780636751  # order-1/2 integral of tau at t = 1
@@ -83,3 +90,23 @@ def sqrt_closed_form(alpha: float, t: float) -> float:
 
 def closed_form(family: str, alpha: float, t: float) -> float:
     return linear_closed_form(alpha, t) if family == "linear" else sqrt_closed_form(alpha, t)
+
+
+def nested_integral_oracle(f: Integrand, n: int, t: float) -> float:
+    """Brute-force n-fold nested integration on 20 001 uniform points (n in {1, 2, 3}).
+
+    Repeated cumulative trapezoid integration; deliberately independent of the
+    adaptive engine so it can validate cauchy_repeated.
+    """
+    if n not in (1, 2, 3):
+        raise DomainError(f"nested oracle supports n in {{1, 2, 3}}, got {n!r}")
+    t = validate_horizon(t)
+    grid = np.linspace(0.0, t, 20_001)
+    dx = grid[1] - grid[0]
+    values = np.atleast_1d(np.asarray(evaluate(f, grid), dtype=float))
+    for _ in range(n):
+        cumulative = np.concatenate(
+            ([0.0], np.cumsum(0.5 * (values[1:] + values[:-1]) * dx))
+        )
+        values = cumulative
+    return float(values[-1])

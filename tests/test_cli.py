@@ -461,6 +461,23 @@ def test_overflowing_integrand_exits_3_before_sampling(command, capsys):
     assert capsys.readouterr().err == "fracint: integrand value f(4) = inf is not finite\n"
 
 
+@pytest.mark.parametrize("command", (
+    ["compute", "--alpha", "0.5", "--t", "10"],
+    ["compute", "--alpha", "0.5", "--t", "10", "--method", "cavalieri", "--n", "1000"],
+    ["compare", "--alpha", "0.5", "--t", "10", "--n", "1000"],
+    ["curves", "--alpha", "0.5", "--t-stop", "2", "--method", "transformed"],
+    ["semigroup", "--alpha", "0.3", "--beta", "0.4", "--t", "10"],
+    ["regions", "--alpha", "0.5", "--t", "10", "--samples", "4"],
+))
+def test_overflowing_values_exit_3_without_a_warning(command, capsys):
+    # 1e308 * tau**2 overflows inside f; the check that meets the inf refuses it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(command + ["--f", "pow:1e308:2"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("fracint: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize(("command", "width"), (
     (["strips", "--n-strips", "3", "--samples", "3"], "3.76126e+149"),
     (["regions", "--samples", "3"], "1.12838e+150"),

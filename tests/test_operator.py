@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -254,6 +255,20 @@ def test_compose_loads_no_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert completed.stdout.strip() == "[]"
+
+
+def test_public_names_and_readme_example():
+    # every exported name resolves, and the README's library example runs warning-free
+    assert [name for name in fracint.__all__ if not hasattr(fracint, name)] == []
+    src = os.path.dirname(os.path.dirname(fracint.__file__))
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        (code,) = re.findall(r"```python\n(.*?)```", fh.read(), flags=re.S)
+    completed = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", code],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+    )
+    assert completed.returncode == 0, completed.stderr
 
 
 def test_chebyshev_nodes_shape():

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from fracint.errors import DomainError, NonMonotoneError
+from fracint.errors import DomainError, NonMonotoneError, NumericalError
 from fracint.integrand import Integrand, power_integrand
+from fracint.strips import build_strips
 from fracint.transforms import make_transform, validate_horizon, validate_order
 
 from _reference import (
@@ -180,15 +181,30 @@ def test_left_boundary_values():
 
 
 def test_right_boundary_offset_and_anchor():
-    pair = make_transform(0.8, 10.0)
-    ys = np.linspace(0.0, 10.0, 50)
-    widths = pair.right_boundary(LINEAR, ys) - pair.left_boundary(LINEAR, ys)
-    assert np.max(np.abs(widths - pair.width)) <= 1e-12 * pair.width
-    # the right boundary meets the integrand curve at (t, f(t))
-    assert pair.right_boundary(LINEAR, 10.0) == pytest.approx(10.0, rel=1e-12)
+    # strips draws the right boundary as the left one shifted by the constant width
+    for alpha in (0.8, 1.0):
+        pair = make_transform(alpha, 10.0)
+        edge = build_strips(LINEAR, pair, 1, samples_per_curve=50).boundaries[-1]
+        offsets = edge[:, 0] - pair.left_boundary(LINEAR, edge[:, 1])
+        assert np.max(np.abs(offsets - pair.width)) <= 1e-12 * pair.width
+        # it meets the integrand curve at (t, f(t))
+        assert pair.left_boundary(LINEAR, 10.0) + pair.width == pytest.approx(10.0, rel=1e-12)
+        assert edge[-1] == pytest.approx((10.0, 10.0), rel=1e-12)
 
     pair_one = make_transform(1.0, 10.0)
-    assert pair_one.right_boundary(LINEAR, 0.0) == pytest.approx(10.0, rel=1e-12)
+    assert pair_one.left_boundary(LINEAR, 0.0) + pair_one.width == pytest.approx(10.0, rel=1e-12)
+
+
+def test_overflowing_integrand_refuses_its_inverse():
+    # f(4) overflows, which would make the round-trip tolerance infinite and
+    # accept an inverse that returns half the root
+    f = Integrand(
+        fn=lambda x: 8e307 * np.asarray(x, float),
+        monotone="increasing",
+        inverse=lambda y: 0.5 * np.asarray(y, float) / 8e307,
+    )
+    with pytest.raises(NumericalError, match="not finite"):
+        make_transform(0.5, 4.0).left_boundary(f, 1e307)
 
 
 def test_left_boundary_without_inverse_uses_bisection():
