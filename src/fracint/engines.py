@@ -108,29 +108,6 @@ def _strip_sum(f, pair, n, method) -> QuadratureResult:
     return QuadratureResult(value, abs(value - coarse) if n > 1 else abs(value), method, n)
 
 
-def _kernel_form(f, k, t, budget, abs_tol, rel_tol) -> QuadratureResult:
-    """(1/(k-1)!) int_0^t (t - tau)**(k-1) f(tau) dtau for an integer k >= 1.
-
-    The weight is ((t - tau)/t)**(k-1), at most 1, and the factor
-    t**(k-1)/(k-1)! goes into the scale through logarithms, so neither
-    overflows before the two meet.
-    """
-
-    def kernel(tau):
-        arr = np.asarray(tau, dtype=float)
-        diff = t - arr
-        vals = np.asarray(evaluate(f, arr))
-        # node rounding can land exactly on t; the point has measure zero
-        with np.errstate(divide="ignore", over="ignore"):
-            weight = np.where(diff > 0.0, diff / t, 1.0) ** (k - 1.0)
-        return np.where(diff > 0.0, weight * vals, 0.0)
-
-    with np.errstate(over="ignore"):  # an overflowing scale is inf, which QuadratureResult refuses
-        scale = float(np.exp((k - 1.0) * math.log(t) - math.lgamma(k)))
-    raw, err, evals = adaptive_quadrature(kernel, 0.0, t, abs_tol, rel_tol, budget)
-    return QuadratureResult(scale * raw, scale * err, "direct", evals)
-
-
 def direct_rl(
     f: Integrand,
     alpha: float,
@@ -175,22 +152,31 @@ def transformed_riemann(
     return _adaptive_core(f, pair, budget, abs_tol, rel_tol, "transformed")
 
 
-def cauchy_repeated(
-    f: Integrand,
-    n: int,
-    t: float,
-    budget: int = DEFAULT_BUDGET,
-    abs_tol: float = DEFAULT_ABS_TOL,
-    rel_tol: float = DEFAULT_REL_TOL,
-) -> QuadratureResult:
+def cauchy_repeated(f: Integrand, n: int, t: float) -> QuadratureResult:
     """n-th antiderivative based at 0 through the single polynomial-kernel integral.
 
     (1/(n-1)!) int_0^t (t - tau)**(n-1) f(tau) dtau
 
-    (n-1)! is never formed, so any n >= 1 works; a result below the smallest
-    double comes back as 0.0, the nearest double (e.g. n = 1000 with t = 1).
+    The weight is ((t - tau)/t)**(n-1), at most 1, and the factor
+    t**(n-1)/(n-1)! goes into the scale through logarithms, so neither
+    overflows before the two meet.  (n-1)! is never formed, so any n >= 1
+    works; a result below the smallest double comes back as 0.0, the nearest
+    double (e.g. n = 1000 with t = 1).
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise DomainError(f"repetition count must be a positive integer, got {n!r}")
-    return _kernel_form(f, n, validate_horizon(t), budget, abs_tol, rel_tol)
+    t = validate_horizon(t)
 
+    def kernel(tau):
+        arr = np.asarray(tau, dtype=float)
+        diff = t - arr
+        vals = np.asarray(evaluate(f, arr))
+        # node rounding can land exactly on t; the point has measure zero
+        with np.errstate(divide="ignore", over="ignore"):
+            weight = np.where(diff > 0.0, diff / t, 1.0) ** (n - 1.0)
+        return np.where(diff > 0.0, weight * vals, 0.0)
+
+    with np.errstate(over="ignore"):  # an overflowing scale is inf, which QuadratureResult refuses
+        scale = float(np.exp((n - 1.0) * math.log(t) - math.lgamma(n)))
+    raw, err, evals = adaptive_quadrature(kernel, 0.0, t)
+    return QuadratureResult(scale * raw, scale * err, "direct", evals)

@@ -8,6 +8,7 @@ one ``%`` operation.
 """
 
 import json
+import os
 import sys
 
 import numpy as np
@@ -77,7 +78,10 @@ def write_text(path, text) -> None:
         sys.stdout.write(text)
         return
     try:
-        with open(path, "w", newline="") as handle:
+        # not "w": ext4 flushes a file truncated to 0 on close, so only a non-empty one is emptied
+        with open(path, "a", newline="") as handle:
+            if os.fstat(handle.fileno()).st_size:
+                handle.truncate(0)
             handle.write(text)
     except OSError as exc:
         raise _unwritable(path, exc) from None

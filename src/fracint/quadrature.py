@@ -166,15 +166,7 @@ def adaptive_quadrature(
         errors.append(right_err)
 
 
-def stieltjes_integral(
-    f,
-    g_prime,
-    lower: float,
-    upper: float,
-    abs_tol: float = DEFAULT_ABS_TOL,
-    rel_tol: float = DEFAULT_REL_TOL,
-    budget: int = DEFAULT_BUDGET,
-) -> float:
+def stieltjes_integral(f, g_prime, lower: float, upper: float) -> float:
     """Riemann-Stieltjes integral via the differentiable-integrator identity.
 
     int f dg = int f(x) g'(x) dx, evaluated by the adaptive engine.
@@ -182,7 +174,7 @@ def stieltjes_integral(
     def weighted(x):
         return np.asarray(evaluate(f, x)) * np.asarray(evaluate(g_prime, x))
 
-    value, _, _ = adaptive_quadrature(weighted, lower, upper, abs_tol, rel_tol, budget)
+    value, _, _ = adaptive_quadrature(weighted, lower, upper)
     return value
 
 
@@ -192,9 +184,9 @@ class CavalieriRegion:
     sides by x = left(y) and its horizontal translate left(y) + width.
 
     The equivalent integrator is g(x) = x - left(f(x)) + left(0), which maps
-    the curvilinear abscissae [lower_abscissa, upper_abscissa] onto the
-    x-axis footprint [left(0), left(0) + width].  The footprint and both
-    corners are found once per region; ``inverse`` bisects between them.
+    the abscissae of the two corners, where the sides meet f, onto the x-axis
+    footprint [left(0), left(0) + width].  The footprint and both corners are
+    found once per region; ``inverse`` bisects between them.
     """
 
     f: Callable
@@ -222,31 +214,16 @@ class CavalieriRegion:
         lower, upper = bisect_monotone(self.integrator, [a0, b0], min(0.0, a0) - span, b0 + span)
         return float(lower), float(upper)
 
-    @property
-    def lower_abscissa(self) -> float:
-        """x where the left side meets f (solves g(x) = left(0))."""
-        return self._corners[0]
-
-    @property
-    def upper_abscissa(self) -> float:
-        """x where the right side meets f (solves g(x) = left(0) + width)."""
-        return self._corners[1]
-
     def inverse(self, x):
         """h = g^{-1}, found by bisection between the corner abscissae."""
         return bisect_monotone(self.integrator, x, *self._corners)
 
-    def area(
-        self,
-        abs_tol: float = DEFAULT_ABS_TOL,
-        rel_tol: float = DEFAULT_REL_TOL,
-        budget: int = DEFAULT_BUDGET,
-    ) -> float:
+    def area(self) -> float:
         """Region area through the bounded Riemann form int f(h(x)) dx."""
         a0, b0 = self.footprint
 
         def composed(x):
             return evaluate(self.f, self.inverse(x))
 
-        value, _, _ = adaptive_quadrature(composed, a0, b0, abs_tol, rel_tol, budget)
+        value, _, _ = adaptive_quadrature(composed, a0, b0)
         return value

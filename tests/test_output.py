@@ -130,3 +130,49 @@ def test_svg_document_bytes():
         {"points": rng.random((7, 2)), "dashed": True, "shade": 1.0},
     ]
     assert output.svg_document(curves) == before.svg_document(curves)
+
+
+STRIPS = ["strips", "--alpha", "0.8", "--t", "10", "--n-strips", "5"]
+
+
+def _files(directory, argv):
+    """Run ``strips`` with ``--out``/``--svg`` in ``directory``; return both paths."""
+    out, svg = directory / "strips.csv", directory / "strips.svg"
+    assert cli.main(argv + ["--out", str(out), "--svg", str(svg)]) == 0
+    return out, svg
+
+
+def test_new_files_are_not_opened_for_truncation(tmp_path, monkeypatch):
+    # "w" truncates even a new file, and ext4 flushes a file truncated to 0 on close
+    modes = []
+
+    def recording_open(file, mode="r", *args, **kwargs):
+        modes.append(mode)
+        return open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(output, "open", recording_open, raising=False)
+    out, svg = _files(tmp_path, STRIPS)
+    assert modes and "w" not in modes
+    assert out.stat().st_size and svg.stat().st_size
+
+
+def test_a_longer_existing_file_is_replaced(tmp_path):
+    fresh, old = tmp_path / "fresh", tmp_path / "old"
+    fresh.mkdir()
+    old.mkdir()
+    expected = [path.read_bytes() for path in _files(fresh, STRIPS)]
+    for path, text in zip((old / "strips.csv", old / "strips.svg"), expected):
+        path.write_bytes(b"x" * (2 * len(text)))
+    assert [path.read_bytes() for path in _files(old, STRIPS)] == expected
+
+
+def test_one_path_for_out_and_svg_keeps_the_svg(tmp_path):
+    both = tmp_path / "both"
+    assert cli.main(STRIPS + ["--out", str(both), "--svg", str(both)]) == 0
+    _, svg = _files(tmp_path, STRIPS)
+    assert both.read_bytes() == svg.read_bytes()
+
+
+def test_null_device_takes_both_outputs(capsys):
+    assert cli.main(["regions", "--samples", "40", "--out", "/dev/null", "--svg", "/dev/null"]) == 0
+    assert capsys.readouterr() == ("", "")

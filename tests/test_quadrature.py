@@ -298,8 +298,8 @@ class TestCavalieriRegion:
 
     def test_footprint_and_corners(self):
         assert self.region.footprint == (1.0, 4.0)
-        assert self.region.lower_abscissa == pytest.approx(0.5, abs=1e-12)
-        assert self.region.upper_abscissa == pytest.approx(2.0, abs=1e-12)
+        corners = self.region.inverse(np.array(self.region.footprint))
+        assert corners == pytest.approx((0.5, 2.0), abs=1e-12)
 
     def test_integrator_is_twice_x(self):
         xs = np.linspace(0.5, 2.0, 11)
