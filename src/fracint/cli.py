@@ -55,6 +55,8 @@ _TINY = 1e-300
 # --samples, --n-strips or a tiny --t-step would otherwise exhaust memory first
 MAX_ROWS = 1_000_000
 MAX_CURVE_HORIZONS = MAX_ROWS  # the bound on curves' horizons, under its own name
+# strips of one sum, checked as --n is parsed: a sum holds two arrays of n + 1 doubles
+MAX_SUM_N = 10**8
 
 # one CSV row of two numbers
 _PAIR = f"{CSV_NUMBER},{CSV_NUMBER}"
@@ -80,6 +82,14 @@ def parse_float_list(text: str):
     if not values:
         raise DomainError(f"empty numeric list {text!r}")
     return values
+
+
+def parse_sum_n(text: str) -> int:
+    """A partition size for the sum routes, refused above MAX_SUM_N before anything is allocated."""
+    n = int(text)
+    if n > MAX_SUM_N:
+        raise DomainError(f"partition size {n} is more than {MAX_SUM_N}")
+    return n
 
 
 def load_config(path: str, parser: argparse.ArgumentParser) -> dict:
@@ -333,7 +343,9 @@ GROUPS = {
         _flag("--rel-tol", dest="rel_tol", type=float, default=DEFAULT_REL_TOL),
         _flag("--budget", type=int, default=DEFAULT_BUDGET, help="adaptive evaluation budget"),
     ],
-    "sums": [_flag("--n", type=int, default=DEFAULT_SUM_N, help="partition size for the sum routes")],
+    "sums": [
+        _flag("--n", type=parse_sum_n, default=DEFAULT_SUM_N, help="partition size for the sum routes"),
+    ],
     "out": [_flag("--out", default=None, help="output file (default: stdout)")],
 }
 _ALPHA, _T = _flag("--alpha", type=float, required=True), _flag("--t", type=float, required=True)

@@ -64,7 +64,11 @@ class QuadratureResult:
 
 
 def make_partition(pair: TransformPair, n: int) -> np.ndarray:
-    """The n+1 tau abscissae x2_i = h(i * width/n) of n equal-width strips."""
+    """The n+1 tau abscissae x2_i = h(i * width/n) of n equal-width strips.
+
+    The result is one fresh array that the caller owns and may overwrite: h is
+    computed in the buffer that holds the points i * width/n.
+    """
     if n < 1:
         raise DomainError(f"partition size must be >= 1, got {n}")
     x1 = np.linspace(0.0, pair.width, int(n) + 1)
@@ -72,12 +76,15 @@ def make_partition(pair: TransformPair, n: int) -> np.ndarray:
     # or the last interior point rounds up to the end
     if not (x1[1] > 0.0 and x1[-1] > x1[-2]):
         raise DomainError("transformed-axis points must be strictly increasing")
-    return pair.inverse(x1)
+    return pair.inverse(x1, out=x1)
 
 
-def strip_areas(heights: np.ndarray, width: float, n: int) -> np.ndarray:
-    """Areas f(x2_i) * width/n: the one strip-area formula, of the geometry and both sums."""
-    return heights * (width / n)
+def strip_areas(heights: np.ndarray, width: float, n: int, out=None) -> np.ndarray:
+    """Areas f(x2_i) * width/n: the one strip-area formula, of the geometry and both sums.
+
+    Written into ``out`` when given; ``heights`` is only read.
+    """
+    return np.multiply(heights, width / n, out=out)
 
 
 def _adaptive_core(f, pair, budget, abs_tol, rel_tol, method) -> QuadratureResult:
@@ -99,10 +106,12 @@ def _strip_sum(f, pair, n, method) -> QuadratureResult:
     twice the width (the last strip once when n is odd).
     """
     n = int(n)
-    heights = evaluate(f, make_partition(pair, n)[:-1])
+    # the partition is this sum's own buffer; the heights are f's (its input, a view
+    # of it or an array it keeps), so the areas overwrite the partition, never them
+    x2 = make_partition(pair, n)[:-1]
+    heights = evaluate(f, x2)
     with np.errstate(over="ignore", invalid="ignore"):  # QuadratureResult refuses a non-finite sum
-        # a fresh array: evaluate may hand back f's own array or a view of tau
-        areas = strip_areas(heights, pair.width, n)
+        areas = strip_areas(heights, pair.width, n, out=x2)
         value = float(np.sum(areas))
         coarse = 2.0 * float(np.sum(areas[::2])) - (float(areas[-1]) if n % 2 else 0.0)
     return QuadratureResult(value, abs(value - coarse) if n > 1 else abs(value), method, n)

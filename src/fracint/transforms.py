@@ -74,21 +74,39 @@ class TransformPair:
             return float(out)
         return out
 
-    def tau(self, u):
+    def tau(self, u, out=None):
         """h on the u axis: t - u**(1/alpha), floored at 0, for u in [0, t**alpha].
 
         For u >= 0, u**(1/alpha) >= 0 and the difference never exceeds t, so it
-        lies in [0, t] with no upper clip.
+        lies in [0, t] with no upper clip.  ``u`` is only read unless it is
+        ``out``: given a float array ``out`` of u's shape, h is computed there,
+        with the bits of the fresh result, and ``out`` is returned.
         """
-        # u is not wrapped in np.asarray, whose 0-d pow rounds a scalar u differently
-        return np.maximum(self.t - u ** (1.0 / self.alpha), 0.0)
+        if out is None:
+            # u is not wrapped in np.asarray, whose 0-d pow rounds a scalar u differently
+            return np.maximum(self.t - u ** (1.0 / self.alpha), 0.0)
+        if out is not u:
+            out[...] = u
+        # **= takes the same scalar-exponent fast paths (square for 2, copy for 1) as **
+        out **= 1.0 / self.alpha
+        np.subtract(self.t, out, out=out)
+        return np.maximum(out, 0.0, out=out)
 
-    def inverse(self, x):
-        """h(x) on [0, t**alpha / Gamma(alpha + 1)]; inverse of forward."""
+    def inverse(self, x, out=None):
+        """h(x) on [0, t**alpha / Gamma(alpha + 1)]; inverse of forward.
+
+        ``x`` is only read unless it is ``out``: given a float array ``out`` of
+        x's shape, h(x) is computed there once x passes its range check, and
+        ``out`` is returned.
+        """
         arr = np.asarray(x, dtype=float)
         slack = 1e-12 * self.width
         if np.any(arr < -slack) or np.any(arr > self.width + slack):
             raise DomainError(f"x outside [0, {self.width:g}]")
+        if out is not None:
+            u = np.multiply(self.gamma_alpha_plus_one, arr, out=out)
+            np.subtract(self.t**self.alpha, u, out=u)
+            return self.tau(np.maximum(u, 0.0, out=u), out=u)
         out = self.tau(np.maximum(self.t**self.alpha - self.gamma_alpha_plus_one * arr, 0.0))
         if np.asarray(x).ndim == 0:
             return float(out)

@@ -576,6 +576,45 @@ class TestRowCap:
         assert capsys.readouterr().err.endswith(" rows, more than 12\n")
 
 
+class TestSumCap:
+    # every subcommand that takes --n, with a partition size past the cap
+    CASES = (
+        ["compute", "--method", "cavalieri", "--alpha", "0.5", "--t", "2", "--n", "10000000000"],
+        ["compare", "--n", "10000000000"],
+        ["curves", "--method", "stieltjes", "--n", "10000000000"],
+        ["semigroup", "--alpha", "0.3", "--beta", "0.4", "--t", "1", "--method", "cavalieri",
+         "--n", "10000000000"],
+    )
+    REFUSAL = f"fracint: partition size 10000000000 is more than {cli.MAX_SUM_N}\n"
+
+    @pytest.mark.parametrize("argv", CASES, ids=lambda argv: argv[0])
+    def test_refused_before_any_operator(self, argv, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("operator built")
+
+        monkeypatch.setattr(cli, "FractionalOperator", refuse)
+        assert run(argv) == 2
+        assert capsys.readouterr() == ("", self.REFUSAL)
+
+    def test_refused_before_allocating(self):
+        completed = run_under_memory_limit(self.CASES[0])
+        assert completed.returncode == 2, completed.stderr
+        assert completed.stderr == self.REFUSAL
+
+    def test_a_config_file_is_capped_too(self, tmp_path, capsys):
+        config = tmp_path / "fracint.conf"
+        config.write_text("n = 10000000000\n")
+        assert run(["compare", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == self.REFUSAL
+
+    def test_the_cap_is_reached_not_passed(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "MAX_SUM_N", 12)
+        argv = ["compute", "--method", "stieltjes", "--alpha", "0.5", "--t", "2", "--n"]
+        assert run(argv + ["12"]) == 0
+        assert run(argv + ["13"]) == 2
+        assert capsys.readouterr().err == "fracint: partition size 13 is more than 12\n"
+
+
 class TestSemigroupCommand:
     def parse(self, text):
         return {line.split("=")[0]: float(line.split("=")[1])

@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+
+import _sums_before as before
 
 from fracint.engines import (
     QuadratureResult,
@@ -543,6 +546,151 @@ class TestPartition:
         result = cavalieri_sum(LINEAR, pair, 1000)
         exact = t ** (1.0 + alpha) / math.gamma(2.0 + alpha)
         assert result.value == pytest.approx(exact, rel=1e-2)
+
+
+def same_bits(a, b):
+    """Equal type, shape and bytes: -0.0 differs from 0.0 and every NaN payload counts."""
+    return (type(a) is type(b) and np.shape(a) == np.shape(b)
+            and np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes())
+
+
+def same_sum(new, old):
+    return same_bits(new.value, old.value) and same_bits(new.error_estimate, old.error_estimate)
+
+
+def peak_bytes(call):
+    """Peak bytes that tracemalloc sees allocated during ``call()``, above what was live before."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+class TestInPlacePartition:
+    """The partition and the strip sum computed in one working array match the fresh-array code."""
+
+    # 0.5 and 1 take numpy's ** fast paths for the exponents 2 and 1
+    ALPHAS = (0.5, 1.0, 1.0 / 3.0, 0.999, 1e-3)
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    @pytest.mark.parametrize("n", (1, 2, 3, 999, 100_000))
+    def test_partitions_and_sums_keep_their_bits(self, alpha, n):
+        for t in (1e-6, 3.0, 1e6):
+            pair = make_transform(alpha, t)
+            assert same_bits(make_partition(pair, n), before.make_partition(pair, n))
+            for f in (power_integrand(1.0, 1.5), power_integrand(-2.5, 1.0), power_integrand(0.7, 0.0)):
+                assert same_sum(stieltjes_sum(f, pair, n), before._strip_sum(f, pair, n, "stieltjes"))
+                assert same_sum(cavalieri_sum(f, pair, n), before._strip_sum(f, pair, n, "cavalieri"))
+
+    @pytest.mark.parametrize("alpha", (0.3, 0.7, 1.0))
+    def test_tiny_widths_keep_their_bits_and_refusals(self, alpha):
+        for t in (1e-323, 1e-320, 1e-310, 1e-300, 1e-12):
+            pair = make_transform(alpha, t)
+            for n in (1, 2, 3, 1000, 100_000):
+                try:
+                    old = before.make_partition(pair, n)
+                except DomainError:
+                    with pytest.raises(DomainError):
+                        make_partition(pair, n)
+                    continue
+                assert same_bits(make_partition(pair, n), old)
+                assert same_sum(cavalieri_sum(LINEAR, pair, n),
+                                before._strip_sum(LINEAR, pair, n, "cavalieri"))
+
+    @pytest.mark.parametrize(
+        "alpha, t", [(0.85, 1e6), (0.6198855958466016, 16670556.346037818)]
+    )
+    def test_wide_partitions_keep_their_bits(self, alpha, t):
+        pair = make_transform(alpha, t)
+        for n in (1, 999, 1000, 100_000):
+            partition = make_partition(pair, n)
+            assert partition[-1] == t
+            assert same_bits(partition, before.make_partition(pair, n))
+            assert same_sum(cavalieri_sum(SQRT, pair, n), before._strip_sum(SQRT, pair, n, "cavalieri"))
+
+    @pytest.mark.parametrize("fn", (
+        lambda x: x,  # the partition itself
+        lambda x: x[::-1],  # a reversed view of it
+        lambda x: 3.0 * np.sqrt(x),
+    ), ids=("input", "reversed-view", "fresh"))
+    @pytest.mark.parametrize("n", (1, 2, 7, 1000))
+    def test_heights_that_share_the_partition_buffer(self, fn, n):
+        f = Integrand(fn=fn)
+        pair = make_transform(0.6, 2.0)
+        assert same_sum(stieltjes_sum(f, pair, n), before._strip_sum(f, pair, n, "stieltjes"))
+
+    @pytest.mark.parametrize("n", (1, 2, 7, 1000))
+    def test_an_array_the_integrand_keeps_is_left_alone(self, n):
+        kept = np.linspace(1.0, 2.0, n) ** 1.5
+        snapshot = kept.copy()
+        f = Integrand(fn=lambda x: kept)
+        pair = make_transform(0.4, 5.0)
+        old = before._strip_sum(f, pair, n, "cavalieri")
+        assert same_sum(cavalieri_sum(f, pair, n), old)
+        assert same_bits(kept, snapshot)
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_inverse_in_place_matches_and_reads_only_its_input(self, alpha):
+        pair = make_transform(alpha, 3.0)
+        x = np.linspace(0.0, pair.width, 1001)
+        snapshot = x.copy()
+        fresh = pair.inverse(x)
+        assert same_bits(x, snapshot)
+        assert same_bits(fresh, before.inverse(pair, x))
+        into = np.empty_like(x)
+        assert pair.inverse(x, out=into) is into and same_bits(into, fresh)
+        assert same_bits(x, snapshot)
+        assert pair.inverse(x, out=x) is x and same_bits(x, fresh)
+
+    def test_a_refused_input_leaves_out_unwritten(self):
+        pair = make_transform(0.5, 3.0)
+        x = np.array([0.0, 2.0 * pair.width])
+        snapshot = x.copy()
+        with pytest.raises(DomainError):
+            pair.inverse(x, out=x)
+        assert same_bits(x, snapshot)
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_scalar_and_0d_inputs_keep_their_bits(self, alpha):
+        pair = make_transform(alpha, 3.0)
+        for x in (0.0, 0.37 * pair.width, pair.width, np.float64(pair.width / 3.0),
+                  np.asarray(pair.width / 7.0)):
+            assert same_bits(pair.inverse(x), before.inverse(pair, x))
+        for u in (0.0, 0.3, 3.0**alpha, np.float64(0.3), np.asarray(0.3), np.linspace(0.0, 3.0**alpha, 15)):
+            assert same_bits(pair.tau(u), before.tau(pair, u))
+
+    def test_tau_in_place_matches(self):
+        pair = make_transform(0.5, 3.0)
+        u = np.linspace(0.0, 3.0**0.5, 1001)
+        fresh = pair.tau(u)
+        into = np.empty_like(u)
+        assert pair.tau(u, out=into) is into and same_bits(into, fresh)
+        assert pair.tau(u, out=u) is u and same_bits(u, fresh)
+
+
+class TestStripSumAllocations:
+    """A deterministic counter beside the timings: tracemalloc's peak, in arrays of n + 1 doubles."""
+
+    N = 100_000
+    ARRAY = 8 * (N + 1)
+
+    def test_a_strip_sum_holds_the_partition_and_the_heights(self):
+        pair = make_transform(0.5, 3.0)
+        f = power_integrand(1.0, 1.5)
+        stieltjes_sum(f, pair, self.N)
+        assert peak_bytes(lambda: stieltjes_sum(f, pair, self.N)) <= 2.25 * self.ARRAY
+
+    def test_a_partition_is_computed_in_its_own_buffer(self):
+        pair = make_transform(0.5, 3.0)
+        make_partition(pair, self.N)
+        assert peak_bytes(lambda: make_partition(pair, self.N)) <= 1.25 * self.ARRAY
 
 
 class TestEvaluate:
