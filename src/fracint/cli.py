@@ -2,9 +2,10 @@
 
 Subcommands: gamma, transform, compute, compare, strips, regions, curves,
 semigroup.  Exit codes: 0 success, 2 input or domain error, 3 numerical
-failure.  The parser holds every default and parses every input, the
-integrand spec and the comma-separated lists included, before any handler
-runs, so a malformed input exits 2 before any computation.  Each subcommand
+failure or an allocation that does not fit in memory.  The parser holds every
+default and parses every input, the integrand spec and the comma-separated
+lists included, before any handler runs, so a malformed input exits 2 before
+any computation.  Each subcommand
 and each shared flag group is declared once, and a run builds only the parser
 of the subcommand it runs.  An
 optional key=value config file replaces the defaults of the settings flags its
@@ -440,8 +441,9 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"fracint: {exc}", file=sys.stderr)
         return 2
-    except NumericalError as exc:
-        print(f"fracint: {exc}", file=sys.stderr)
+    except (NumericalError, MemoryError) as exc:
+        # numpy's MemoryError names the allocation that failed; a bare one says nothing
+        print(f"fracint: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     return 0
 

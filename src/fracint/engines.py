@@ -109,8 +109,8 @@ def _strip_sum(f, pair, n, method) -> QuadratureResult:
     # the partition is this sum's own buffer; the heights are f's (its input, a view
     # of it or an array it keeps), so the areas overwrite the partition, never them
     x2 = make_partition(pair, n)[:-1]
-    heights = evaluate(f, x2)
     with np.errstate(over="ignore", invalid="ignore"):  # QuadratureResult refuses a non-finite sum
+        heights = evaluate(f, x2)
         areas = strip_areas(heights, pair.width, n, out=x2)
         value = float(np.sum(areas))
         coarse = 2.0 * float(np.sum(areas[::2])) - (float(areas[-1]) if n % 2 else 0.0)

@@ -5,7 +5,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, NonMonotoneError, NumericalError
+from .errors import DomainError
 
 INCREASING = "increasing"
 DECREASING = "decreasing"
@@ -16,7 +16,7 @@ BISECTION_ITERATIONS = 100
 
 @dataclass(frozen=True)
 class Integrand:
-    """A real function on [0, t] with optional monotonicity and inverse metadata.
+    """A real function on [0, t] with optional monotonicity metadata.
 
     ``fn`` should accept numpy arrays (all built-in integrands do); scalar-only
     callables are tolerated through :func:`evaluate`.  ``power`` carries
@@ -26,7 +26,6 @@ class Integrand:
 
     fn: Callable
     monotone: str = UNKNOWN
-    inverse: Optional[Callable] = None
     label: str = "f"
     power: Optional[tuple] = None
 
@@ -54,7 +53,7 @@ def evaluate(fn, x):
 
 
 def power_integrand(coefficient: float, exponent: float) -> Integrand:
-    """The family c*tau**p (p >= 0), with analytic inverse when invertible."""
+    """The family c*tau**p (p >= 0), tagged monotone unless it is constant."""
     c = float(coefficient)
     p = float(exponent)
     if not (np.isfinite(c) and np.isfinite(p)):
@@ -67,81 +66,26 @@ def power_integrand(coefficient: float, exponent: float) -> Integrand:
 
     if p == 0 or c == 0:
         monotone = UNKNOWN
-        inverse = None
     else:
         monotone = INCREASING if c > 0 else DECREASING
-
-        def inverse(y):
-            return (np.asarray(y, dtype=float) / c) ** (1.0 / p)
-
-    label = f"pow:{c:g}:{p:g}"
-    return Integrand(fn=fn, monotone=monotone, inverse=inverse, label=label, power=(c, p))
+    return Integrand(fn=fn, monotone=monotone, label=f"pow:{c:g}:{p:g}", power=(c, p))
 
 
-def inverse_value(f: Integrand, y, upper: float):
-    """f^{-1}(y) on [0, upper]: analytic inverse if present, else bisection.
+def bisect_monotone(fn, targets, lo: float, hi: float):
+    """Vectorized bisection: solve fn(x) = target for increasing fn on [lo, hi].
 
-    f(0) and f(upper) must be finite (NumericalError otherwise), and y must lie
-    in the range of f on [0, upper], within 1e-9 of its span.  An
-    analytic inverse is clipped into [0, upper], where the root lies, and every
-    value it returns must round-trip: f at its two neighbouring doubles in
-    [0, upper] brackets y, or |f(x) - y| <= 1e-10 * max(1, |f(0)|, |f(upper)|).
-    Bisection needs a declared monotone direction; it stops once the bracket
-    is below 1e-13 * upper.
-    """
-    if f.inverse is None and f.monotone == UNKNOWN:
-        raise NonMonotoneError(
-            f"integrand {f.label!r} has no inverse and no declared monotone direction"
-        )
-
-    ys = np.asarray(y, dtype=float)
-    with np.errstate(over="ignore"):
-        f_lo = evaluate(f, 0.0)
-        f_hi = evaluate(f, upper)
-    if not (np.isfinite(f_lo) and np.isfinite(f_hi)):
-        raise NumericalError(
-            f"integrand {f.label!r} is not finite at 0 or {upper:g}: {f_lo!r}, {f_hi!r}"
-        )
-    lo_val, hi_val = (f_hi, f_lo) if f.monotone == DECREASING else (f_lo, f_hi)
-    slack = 1e-9 * max(1.0, abs(hi_val - lo_val))
-    if np.any(ys < lo_val - slack) or np.any(ys > hi_val + slack):
-        raise DomainError(
-            f"value outside the range [{lo_val:g}, {hi_val:g}] of {f.label!r} on [0, {upper:g}]"
-        )
-    ys = np.clip(ys, lo_val, hi_val)
-    if f.inverse is None:
-        return bisect_monotone(
-            f, ys, 0.0, upper, tol=1e-13 * float(upper), increasing=f.monotone == INCREASING
-        )
-
-    xs = np.clip(np.asarray(evaluate(f.inverse, ys)), 0.0, upper)
-    # a correctly rounded inverse can land one ulp either side of its root; for c*tau**p
-    # with a small p, f jumps from 0 to about 0.23 between 0 and the smallest subnormal
-    f_below = evaluate(f, np.maximum(np.nextafter(xs, -np.inf), 0.0))
-    f_above = evaluate(f, np.minimum(np.nextafter(xs, np.inf), upper))
-    bracketed = (np.minimum(f_below, f_above) <= ys) & (ys <= np.maximum(f_below, f_above))
-    resid = np.max(np.where(bracketed, 0.0, np.abs(evaluate(f, xs) - ys)), initial=0.0)
-    if not resid <= 1e-10 * max(1.0, abs(f_lo), abs(f_hi)):
-        raise DomainError(f"inverse of {f.label!r} fails round-trip check (residual {resid:.3e})")
-    return float(xs) if xs.ndim == 0 else xs
-
-
-def bisect_monotone(fn, targets, lo: float, hi: float, tol: float = 0.0, increasing: bool = True):
-    """Vectorized bisection: solve fn(x) = target for monotone fn on [lo, hi].
-
-    Halves every bracket together until the widest is at most ``tol`` or
-    BISECTION_ITERATIONS halvings are done, and returns the midpoints.
+    Halves every bracket together until all have closed or BISECTION_ITERATIONS
+    halvings are done, and returns the midpoints.
     """
     ys = np.atleast_1d(np.asarray(targets, dtype=float))
     los = np.full_like(ys, float(lo))
     his = np.full_like(ys, float(hi))
-    sign = 1.0 if increasing else -1.0
     for _ in range(BISECTION_ITERATIONS):
         mid = 0.5 * (los + his)
-        below = sign * (evaluate(fn, mid) - ys) < 0.0
+        below = evaluate(fn, mid) - ys < 0.0
         los = np.where(below, mid, los)
         his = np.where(below, his, mid)
-        if np.max(his - los) <= tol:
+        if np.max(his - los) <= 0.0:
             break
     root = 0.5 * (los + his)
     if np.ndim(targets) == 0:

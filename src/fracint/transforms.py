@@ -13,10 +13,14 @@ On the axis u = t**alpha - Gamma(alpha + 1) * x, h is tau(u) = t - u**(1/alpha).
 ``TransformPair.tau`` is its one implementation: ``inverse`` places the strips
 with it, and the adaptive core integrates f(tau(u)) over [0, t**alpha].
 
-The strip boundary curves derived from a monotone integrand f are
+The strip boundaries derived from an increasing integrand f are translates
+of one side, the parametric curve
 
-    left(y)  = f^{-1}(y) - g(f^{-1}(y))
-    right(y) = left(y) + t**alpha / Gamma(alpha + 1)
+    tau -> (tau - g(tau), f(tau)),    tau in [0, t],
+
+moved right by i strip widths w = t**alpha / Gamma(alpha + 1) / n.  The
+i-th reaches the curve y = f(x) at tau = h(i * w), where g(tau) = i * w, so
+no inverse of f is needed to draw it.
 """
 
 import math
@@ -25,7 +29,6 @@ import numpy as np
 
 from .errors import DomainError
 from .gamma import gamma
-from .integrand import Integrand, inverse_value
 
 
 def validate_order(alpha: float, allow_zero: bool = False) -> float:
@@ -111,11 +114,6 @@ class TransformPair:
         if np.asarray(x).ndim == 0:
             return float(out)
         return out
-
-    def left_boundary(self, f: Integrand, y):
-        """Left strip-boundary abscissa at height y: f^{-1}(y) - g(f^{-1}(y))."""
-        tau = inverse_value(f, y, self.t)
-        return tau - self.forward(tau)
 
     def __repr__(self):
         return f"TransformPair(alpha={self.alpha:g}, t={self.t:g})"

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import os
@@ -13,7 +12,6 @@ import pytest
 import fracint
 from fracint import cli, engines
 from fracint.cli import main
-from fracint.integrand import power_integrand
 from fracint.operator import DEFAULT_COMPOSE_GRID, DEFAULT_SUM_N
 from fracint.quadrature import DEFAULT_ABS_TOL, DEFAULT_BUDGET, DEFAULT_REL_TOL
 
@@ -323,8 +321,8 @@ class TestStripsCommand:
 
     @pytest.mark.parametrize("p, t", SMALL_EXPONENTS)
     def test_small_exponent_areas(self, p, t, capsys):
-        # below f(5e-324) ~ 0.23 the inverse (y/c)**(1/p) rounds to 0, as it should, and
-        # below p ~ 1e-4 f^{-1}(f(t)) can round past t, where it is kept at t
+        # f is nearly flat away from 0: f(5e-324) ~ 0.23 at p = 0.002, and f(t) is within
+        # 7e-7 of 1 at p = 1e-6 and t = 2
         assert run(["strips", "--f", f"pow:1:{p}", "--alpha", "0.5", "--t", f"{t:g}"]) == 0
         _, area_block = blocks_of(capsys.readouterr().out)
         areas = [float(row["area"]) for row in rows_of(area_block)]
@@ -332,15 +330,6 @@ class TestStripsCommand:
         width = math.sqrt(t) / math.gamma(1.5) / 5
         expected = [(t * (1.0 - (1.0 - i / 5) ** 2)) ** p * width for i in range(5)]
         assert areas == pytest.approx(expected, rel=1e-11, abs=0.0)
-
-    def test_an_inverse_returning_zero_exits_2(self, monkeypatch, capsys):
-        def zero_inverse(coefficient, exponent):
-            f = power_integrand(coefficient, exponent)
-            return dataclasses.replace(f, inverse=lambda y: np.zeros_like(np.asarray(y, float)))
-
-        monkeypatch.setattr(cli, "power_integrand", zero_inverse)
-        assert run(["strips", "--f", "pow:1:0.002", "--alpha", "0.5", "--t", "2"]) == 2
-        assert "fails round-trip check" in capsys.readouterr().err
 
 
 class TestRegionsCommand:
@@ -600,6 +589,30 @@ class TestSumCap:
         completed = run_under_memory_limit(self.CASES[0])
         assert completed.returncode == 2, completed.stderr
         assert completed.stderr == self.REFUSAL
+
+    def test_a_sum_at_the_cap_that_does_not_fit_exits_3(self):
+        # the cap lets 10**8 strips through; their partition alone is 800 MB
+        completed = run_under_memory_limit(
+            ["compute", "--method", "cavalieri", "--alpha", "0.5", "--t", "2", "--n", "100000000"]
+        )
+        assert completed.returncode == 3, completed.stderr
+        assert completed.stderr.startswith("fracint: ") and completed.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize(("error", "line"), (
+        (MemoryError("Unable to allocate 763. MiB"), "fracint: Unable to allocate 763. MiB\n"),
+        (MemoryError(), "fracint: out of memory\n"),
+    ), ids=("named", "bare"))
+    def test_an_allocation_failure_is_one_line(self, error, line, monkeypatch, capsys):
+        class Exhausted:
+            def __init__(self, *args, **kwargs):
+                pass
+
+            def apply(self, f, t):
+                raise error
+
+        monkeypatch.setattr(cli, "FractionalOperator", Exhausted)
+        assert run(self.CASES[0][:-2]) == 3
+        assert capsys.readouterr() == ("", line)
 
     def test_a_config_file_is_capped_too(self, tmp_path, capsys):
         config = tmp_path / "fracint.conf"

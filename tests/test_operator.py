@@ -141,6 +141,14 @@ class TestApply:
         with pytest.raises(NumericalError):
             FractionalOperator(0.5, route=route).apply(power_integrand(8e307, 0.0), 4.0)
 
+    @pytest.mark.parametrize("route", ("stieltjes", "cavalieri"))
+    def test_sums_refuse_an_overflowing_integrand_without_a_warning(self, route):
+        # 1e308 * tau**2 overflows inside f; the inf total is refused, with no numpy warning first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NumericalError, match=f"non-finite {route} result"):
+                FractionalOperator(0.5, route=route).apply(power_integrand(1e308, 2.0), 10.0)
+
 
 class TestCompose:
     def test_halves_recover_single_integration(self):

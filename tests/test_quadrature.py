@@ -16,7 +16,7 @@ from fracint.engines import (
     transformed_riemann,
 )
 from fracint.errors import BudgetExhaustedError, DomainError, FracintError, NumericalError
-from fracint.integrand import BISECTION_ITERATIONS, Integrand, power_integrand
+from fracint.integrand import BISECTION_ITERATIONS, Integrand, bisect_monotone, power_integrand
 from fracint.operator import FractionalOperator
 from fracint.integrand import evaluate
 from fracint.quadrature import (
@@ -325,6 +325,13 @@ class TestCavalieriRegion:
         calls.clear()
         region.inverse(1.7)
         assert len(calls) == BISECTION_ITERATIONS
+
+    def test_bisection_closes_its_brackets(self):
+        # with no tolerance the brackets halve down to adjacent doubles around each root
+        roots = bisect_monotone(lambda x: np.asarray(x, float) ** 3, [1.0, 8.0], 0.0, 2.0)
+        assert roots == pytest.approx([1.0, 2.0], rel=2.0**-52)
+        root = bisect_monotone(lambda x: x ** 3, 1.0, 0.0, 2.0)
+        assert type(root) is float and root == pytest.approx(1.0, rel=2.0**-52)
 
 
 class TestDirectRoute:

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -106,38 +107,34 @@ class TestBuildStrips:
         with pytest.raises(DomainError):
             build_strips(shifted, pair, 5)
 
-    def test_bad_analytic_inverse_is_caught(self):
-        lying = Integrand(
-            fn=lambda x: np.asarray(x, float),
-            monotone="increasing",
-            inverse=lambda y: 0.5 * np.asarray(y, float),
-            label="lying",
-        )
-        with pytest.raises(DomainError):
-            build_strips(lying, make_transform(0.5, 4.0), 3)
-
-    @pytest.mark.parametrize("draw", (
-        lambda f: build_strips(f, make_transform(0.5, 4.0), 3),
-        lambda f: region_family(f, [0.0], [4.0]),
-        lambda f: make_transform(0.5, 4.0).left_boundary(f, np.array([0.125, 1.0])),
-    ), ids=("build_strips", "region_family", "left_boundary"))
-    def test_inverse_wrong_between_fixed_heights_is_caught(self, draw):
-        # exact at the heights k/4, up to 0.1 off between them: every returned value is checked
-        wavy = Integrand(
-            fn=lambda x: np.asarray(x, float),
-            monotone="increasing",
-            inverse=lambda y: y + 0.1 * np.sin(4.0 * np.pi * y),
-            label="wavy",
-        )
-        with pytest.raises(DomainError, match=r"inverse of 'wavy' fails round-trip check \(residual"):
-            draw(wavy)
-
     def test_overflowing_strip_area_is_a_numerical_failure(self):
         # heights near 1e300 times a strip width near 1e150, with no numpy warning
         with pytest.raises(NumericalError, match=r"area of strip 0 = .* is not finite"):
             build_strips(LINEAR, make_transform(0.5, 1e300), 3, 3)
         with pytest.raises(NumericalError, match=r"area of strip 0 = .* is not finite"):
             region_family(LINEAR, [0.5], [1e300], samples=3)
+
+    @pytest.mark.parametrize("draw", (
+        lambda f: build_strips(f, make_transform(0.5, 10.0), 3, 5),
+        lambda f: region_family(f, [0.0], [10.0], samples=5),
+    ), ids=("build_strips", "region_family"))
+    def test_overflowing_integrand_is_refused_without_a_warning(self, draw):
+        # f(10) = 1e308 * 10**2 overflows on the last tau sample, which the f(t) check meets
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NumericalError, match=r"integrand value f\(10\) = inf is not finite"):
+                draw(power_integrand(1e308, 2.0))
+
+    def test_finite_end_is_checked_before_the_start(self):
+        # both checks read the tau samples: f(t) must be finite before f(0) is looked at
+        lifted = Integrand(
+            fn=lambda x: 1.0 + 1e308 * np.asarray(x, float) ** 2, monotone="increasing"
+        )
+        with pytest.raises(NumericalError, match="is not finite"):
+            build_strips(lifted, make_transform(0.5, 10.0), 3, 5)
+        lifted = dataclasses.replace(lifted, fn=lambda x: 1.0 + np.asarray(x, float))
+        with pytest.raises(DomainError, match=r"must vanish at 0, got f\(0\) = 1"):
+            build_strips(lifted, make_transform(0.5, 10.0), 3, 5)
 
     def test_geometry_runs_no_quadrature(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -147,6 +144,40 @@ class TestBuildStrips:
         geom = build_strips(SQRT, make_transform(0.5, 4.0), 5, 50)
         assert len(geom.boundaries) == 6
         assert len(region_family(SQRT, [0.0, 0.5], [4.0], samples=8)) == 2
+
+
+class TestBoundariesFollowTheSide:
+    """Boundary i is the side (tau - g(tau), f(tau)) moved right by i strip widths."""
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(
+        alpha=st.floats(0.0, 1.0, exclude_min=True),
+        t=st.floats(1e-3, 1e3),
+        p=st.floats(0.0, 3.0, exclude_min=True),
+        n=st.integers(1, 50),
+        samples=st.integers(2, 300),
+    )
+    def test_rows_are_the_shifted_side(self, alpha, t, p, n, samples):
+        f, pair = power_integrand(1.0, p), make_transform(alpha, t)
+        geom = build_strips(f, pair, n, samples)
+        taus = np.linspace(0.0, t, samples)
+        side, ys = taus - pair.forward(taus), f(taus)
+        x2 = make_partition(pair, n)
+        for i, boundary in enumerate(geom.boundaries):
+            # at most samples rows, the bound the CLI's row cap counts on
+            assert len(boundary) <= samples
+            # the grid rows are those of every tau below x2_i ...
+            k = len(boundary) - 1
+            assert k == np.count_nonzero(taus < x2[i])
+            assert np.array_equal(boundary[:k, 0], side[:k] + i * geom.strip_width)
+            assert np.array_equal(boundary[:k, 1], ys[:k])
+            # ... and the boundary ends on the curve at (x2_i, f(x2_i))
+            assert np.array_equal(boundary[k], (x2[i], f(x2)[i]))
+
+        # at order 0 the side is the curve itself, and the edge is the curve shifted by 1
+        zero = region_family(f, [0.0], [t], samples)[0]
+        curve = zero.region_outline[:samples]
+        assert np.array_equal(zero.boundaries[-1], curve + (1.0, 0.0))
 
 
 class TestStripSumsTotalTheStripAreas:
@@ -260,6 +291,14 @@ class TestTranslateCheck:
         assert report.max_translation_deviation <= 1e-10 * 10.0
         assert report.right_edge_shape_distance is None
 
+    def test_a_moved_row_shows_as_deviation(self):
+        # boundaries share their tau steps row for row, so one row moved by 1e-3 reads 1e-3
+        geom = build_strips(LINEAR, make_transform(0.8, 10.0), 5, 200)
+        moved = [b.copy() for b in geom.boundaries]
+        moved[3][10, 0] += 1e-3
+        report = translate_check(dataclasses.replace(geom, boundaries=tuple(moved)))
+        assert report.max_translation_deviation == pytest.approx(1e-3, rel=1e-6)
+
     def test_right_edges_differ_across_horizons(self):
         small, large = region_family(LINEAR, [0.8], [2.0, 10.0], samples=150)
         report = translate_check(small, large)
@@ -285,7 +324,7 @@ class TestTranslateCheck:
 
 
 class TestSmallExponents:
-    """c*tau**p with a small p: the analytic inverse rounds to 0 below f(5e-324) ~ 0.23."""
+    """c*tau**p with a small p: f jumps from 0 to about 0.23 at the smallest double."""
 
     @staticmethod
     def closed_form_areas(c, p, alpha, t, n):
@@ -317,7 +356,8 @@ class TestSmallExponents:
 
     @pytest.mark.parametrize("p,t", ((1e-6, 2.0), (3e-05, 2.0), (1e-12, 1000.0)))
     def test_an_inverse_moved_past_t_by_rounding_is_drawn(self, p, t):
-        # (2**1e-6)**1e6 rounds about 1.5e-11 past t = 2; the inverse is kept inside [0, t]
+        # (2**1e-6)**1e6 rounds about 1.5e-11 past t = 2, so f^{-1}(f(t)) is not t; the
+        # side is sampled along tau and ends at (t, f(t)) all the same
         f = power_integrand(1.0, p)
         geom = build_strips(f, make_transform(0.5, t), 5)
         expected = self.closed_form_areas(1.0, p, 0.5, t, 5)

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from fracint.errors import DomainError, NonMonotoneError, NumericalError
+from fracint.errors import DomainError, NonMonotoneError
 from fracint.integrand import Integrand, power_integrand
-from fracint.strips import build_strips
+from fracint.strips import build_strips, region_family
 from fracint.transforms import make_transform, validate_horizon, validate_order
 
 from _reference import (
@@ -164,20 +164,28 @@ def test_tau_needs_no_upper_clip_on_its_domain(alpha):
             assert pair.tau(u) == min(max(t - u ** (1.0 / alpha), 0.0), t)
 
 
+# The left boundary of the region is the side tau -> (tau - g(tau), f(tau)); the strips
+# draw it moved right by i strip widths, so the right edge is the side plus the width.
+
+
 def test_left_boundary_values():
-    # order 1: the left boundary collapses onto the y-axis
-    pair = make_transform(1.0, 7.0)
-    assert pair.left_boundary(LINEAR, 3.0) == pytest.approx(0.0, abs=1e-12)
+    # order 1: g(tau) = tau, so the left boundary collapses onto the y-axis; the right
+    # edge is it moved by the width t / Gamma(2) = 7, here at tau = 3
+    edge = build_strips(LINEAR, make_transform(1.0, 7.0), 1, 8).boundaries[-1]
+    assert edge[3, 0] - 7.0 == pytest.approx(0.0, abs=1e-12)
+    assert edge[3, 1] == 3.0
 
-    pair = make_transform(0.8, 10.0)
-    assert pair.left_boundary(LINEAR, 0.0) == pytest.approx(0.0, abs=1e-12)
+    # every boundary starts on the x-axis, i strip widths from the origin
+    geom = build_strips(LINEAR, make_transform(0.8, 10.0), 5, 50)
+    for i, boundary in enumerate(geom.boundaries):
+        assert tuple(boundary[0]) == pytest.approx((i * geom.strip_width, 0.0), abs=1e-12)
 
+    # tau = 2 of five steps over [0, 4]: the left boundary is at 2 - g(2) there
     pair = make_transform(0.5, 4.0)
-    assert pair.left_boundary(LINEAR, 2.0) == pytest.approx(A_AT_Y2_ALPHA05_T4, rel=1e-12)
-    # consistency with the forward transform: a(y) = y - g(y) for f = tau
-    assert pair.left_boundary(LINEAR, 2.0) == pytest.approx(
-        2.0 - pair.forward(2.0), rel=1e-12
-    )
+    edge = build_strips(LINEAR, pair, 1, 5).boundaries[-1]
+    assert edge[2, 0] - pair.width == pytest.approx(A_AT_Y2_ALPHA05_T4, rel=1e-12)
+    assert edge[2, 0] - pair.width == pytest.approx(2.0 - pair.forward(2.0), rel=1e-12)
+    assert edge[2, 1] == 2.0
 
 
 def test_right_boundary_offset_and_anchor():
@@ -185,44 +193,20 @@ def test_right_boundary_offset_and_anchor():
     for alpha in (0.8, 1.0):
         pair = make_transform(alpha, 10.0)
         edge = build_strips(LINEAR, pair, 1, samples_per_curve=50).boundaries[-1]
-        offsets = edge[:, 0] - pair.left_boundary(LINEAR, edge[:, 1])
+        taus = np.linspace(0.0, 10.0, 50)[:-1]
+        assert len(edge) == 50
+        offsets = edge[:-1, 0] - (taus - pair.forward(taus))
         assert np.max(np.abs(offsets - pair.width)) <= 1e-12 * pair.width
         # it meets the integrand curve at (t, f(t))
-        assert pair.left_boundary(LINEAR, 10.0) + pair.width == pytest.approx(10.0, rel=1e-12)
-        assert edge[-1] == pytest.approx((10.0, 10.0), rel=1e-12)
-
-    pair_one = make_transform(1.0, 10.0)
-    assert pair_one.left_boundary(LINEAR, 0.0) + pair_one.width == pytest.approx(10.0, rel=1e-12)
-
-
-def test_overflowing_integrand_refuses_its_inverse():
-    # f(4) overflows, which would make the round-trip tolerance infinite and
-    # accept an inverse that returns half the root
-    f = Integrand(
-        fn=lambda x: 8e307 * np.asarray(x, float),
-        monotone="increasing",
-        inverse=lambda y: 0.5 * np.asarray(y, float) / 8e307,
-    )
-    with pytest.raises(NumericalError, match="not finite"):
-        make_transform(0.5, 4.0).left_boundary(f, 1e307)
-
-
-def test_left_boundary_without_inverse_uses_bisection():
-    cubic = Integrand(fn=lambda x: np.asarray(x, float) ** 3, monotone="increasing", label="cube")
-    pair = make_transform(0.5, 2.0)
-    direct = pair.left_boundary(power_integrand(1.0, 3.0), 1.0)
-    bisected = pair.left_boundary(cubic, 1.0)
-    assert bisected == pytest.approx(direct, abs=1e-11)
+        assert tuple(edge[-1]) == pytest.approx((10.0, 10.0), rel=1e-12)
+    # at order 1 it starts at x = t / Gamma(2) = t
+    assert tuple(edge[0]) == pytest.approx((10.0, 0.0), rel=1e-12)
 
 
 def test_left_boundary_requires_monotonicity():
+    # the side is drawn for a declared increasing f only, at order 0 (x = tau) too
     wiggle = Integrand(fn=lambda x: np.sin(np.asarray(x, float)), label="sin")
-    pair = make_transform(0.5, 2.0)
-    with pytest.raises(NonMonotoneError):
-        pair.left_boundary(wiggle, 0.5)
-
-
-def test_left_boundary_range_error():
-    pair = make_transform(0.5, 4.0)
-    with pytest.raises(DomainError):
-        pair.left_boundary(LINEAR, 5.0)  # above f(t) = 4
+    with pytest.raises(NonMonotoneError, match="strictly increasing integrand, got 'sin'"):
+        build_strips(wiggle, make_transform(0.5, 2.0), 1)
+    with pytest.raises(NonMonotoneError, match="strictly increasing integrand, got 'sin'"):
+        region_family(wiggle, [0.0], [2.0])
