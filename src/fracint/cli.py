@@ -56,7 +56,8 @@ _TINY = 1e-300
 # --samples, --n-strips or a tiny --t-step would otherwise exhaust memory first
 MAX_ROWS = 1_000_000
 MAX_CURVE_HORIZONS = MAX_ROWS  # the bound on curves' horizons, under its own name
-# strips of one sum, checked as --n is parsed: a sum holds two arrays of n + 1 doubles
+# strips of one sum, checked as --n is parsed: a sum holds one array of n + 1 doubles
+# and f's heights for one block of it
 MAX_SUM_N = 10**8
 
 # one CSV row of two numbers

@@ -34,6 +34,9 @@ from .transforms import TransformPair, make_transform, validate_horizon
 
 ROUTES = ("direct", "stieltjes", "cavalieri", "transformed")  # the numeric routes
 METHODS = ROUTES + ("oracle",)
+# strips whose heights a sum evaluates at once: 64 KiB of doubles, which stay in L2
+# and below glibc's default 128 KiB mmap threshold, so they reuse freed heap pages
+_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -106,12 +109,14 @@ def _strip_sum(f, pair, n, method) -> QuadratureResult:
     twice the width (the last strip once when n is odd).
     """
     n = int(n)
-    # the partition is this sum's own buffer; the heights are f's (its input, a view
-    # of it or an array it keeps), so the areas overwrite the partition, never them
-    x2 = make_partition(pair, n)[:-1]
+    # the partition is this sum's own buffer: each block of it is overwritten by its
+    # areas, while the block's heights are f's (its input, a view of it or an array
+    # it keeps), so they are only read
+    areas = make_partition(pair, n)[:-1]
     with np.errstate(over="ignore", invalid="ignore"):  # QuadratureResult refuses a non-finite sum
-        heights = evaluate(f, x2)
-        areas = strip_areas(heights, pair.width, n, out=x2)
+        for start in range(0, n, _BLOCK):
+            block = areas[start:start + _BLOCK]
+            strip_areas(evaluate(f, block), pair.width, n, out=block)
         value = float(np.sum(areas))
         coarse = 2.0 * float(np.sum(areas[::2])) - (float(areas[-1]) if n % 2 else 0.0)
     return QuadratureResult(value, abs(value - coarse) if n > 1 else abs(value), method, n)

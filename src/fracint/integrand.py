@@ -18,8 +18,10 @@ BISECTION_ITERATIONS = 100
 class Integrand:
     """A real function on [0, t] with optional monotonicity metadata.
 
-    ``fn`` should accept numpy arrays (all built-in integrands do); scalar-only
-    callables are tolerated through :func:`evaluate`.  ``power`` carries
+    ``fn`` is applied elementwise, and should accept numpy arrays (all built-in
+    integrands do); scalar-only callables are tolerated through :func:`evaluate`.
+    A route may call it on any subset of abscissae: the 15 or 30 Kronrod nodes of
+    an adaptive step, or one block of a strip sum's partition.  ``power`` carries
     ``(coefficient, exponent)`` when the function is c*tau**p, which unlocks the
     closed-form route.
     """

@@ -109,7 +109,8 @@ def adaptive_quadrature(
     Returns (value, error_estimate, evaluations).  Raises
     BudgetExhaustedError (carrying the best value so far) when the budget
     would be exceeded before the tolerance is met, and NumericalError as
-    soon as a panel's sum or error estimate, and so the total, is not finite.
+    soon as a panel's sum or error estimate, and so the total, is not finite,
+    or as soon as evaluating fn raises a RuntimeWarning.
     """
     lo = float(lo)
     hi = float(hi)
@@ -123,7 +124,16 @@ def adaptive_quadrature(
         return 0.0, 0.0, 0
     if budget < 15:
         raise DomainError(f"budget {budget} cannot pay for a single panel")
+    try:
+        return _refine(fn, lo, hi, abs_tol, rel_tol, budget)
+    except RuntimeWarning as warning:
+        # numpy warns where f overflows or turns invalid; under an "error" warnings
+        # filter that warning is raised, and it is the same failure as an inf sample
+        raise NumericalError(f"{warning} while integrating on [{lo:g}, {hi:g}]") from warning
 
+
+def _refine(fn, lo: float, hi: float, abs_tol: float, rel_tol: float, budget: int):
+    """adaptive_quadrature's bisection loop, on limits and settings it has checked."""
     value, err = _panel(fn, lo, hi)
     evaluations = 15
     # the panels, as parallel lists in the order they were made

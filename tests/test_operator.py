@@ -149,6 +149,16 @@ class TestApply:
             with pytest.raises(NumericalError, match=f"non-finite {route} result"):
                 FractionalOperator(0.5, route=route).apply(power_integrand(1e308, 2.0), 10.0)
 
+    @pytest.mark.parametrize("route", ("direct", "transformed"))
+    def test_adaptive_routes_turn_a_raised_warning_into_a_numerical_failure(self, route):
+        # under an "error" filter numpy raises its overflow warning inside f
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NumericalError, match=r"overflow encountered in multiply while "
+                               r"integrating on \[0, 3\.16228\]") as raised:
+                FractionalOperator(0.5, route=route).apply(power_integrand(1e308, 2.0), 10.0)
+        assert isinstance(raised.value.__cause__, RuntimeWarning)
+
 
 class TestCompose:
     def test_halves_recover_single_integration(self):
@@ -188,6 +198,15 @@ class TestCompose:
             with pytest.raises(NumericalError):
                 compose(FractionalOperator(0.5), FractionalOperator(0.5),
                         power_integrand(8e307, 0.0), 4.0)
+
+    def test_overflowing_integrand_raises_a_numerical_failure(self):
+        # the inner applies near t overflow inside f; the raised warning becomes NumericalError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NumericalError, match="overflow encountered") as raised:
+                compose(FractionalOperator(0.5), FractionalOperator(0.5),
+                        power_integrand(1e308, 2.0), 10.0)
+        assert isinstance(raised.value.__cause__, RuntimeWarning)
 
     def test_rejects_tiny_grid(self):
         with pytest.raises(DomainError):

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 import _sums_before as before
 
 from fracint.engines import (
+    _BLOCK,
     QuadratureResult,
     cauchy_repeated,
     cavalieri_sum,
@@ -494,6 +496,14 @@ class TestRepeatedIntegration:
         expected = math.exp(171 * math.log(90.0) - math.lgamma(172))
         assert cauchy_repeated(CONST, 171, 90.0).value == pytest.approx(expected, rel=1e-9)
 
+    def test_an_overflowing_integrand_is_a_numerical_failure(self):
+        # under an "error" filter numpy raises its overflow warning inside f
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NumericalError, match="overflow encountered") as raised:
+                cauchy_repeated(power_integrand(1e308, 2.0), 2, 10.0)
+        assert isinstance(raised.value.__cause__, RuntimeWarning)
+
     def test_oracle_pinned_values(self):
         assert nested_integral_oracle(LINEAR, 2, 1.0) == pytest.approx(1.0 / 6.0, abs=1e-6)
         assert nested_integral_oracle(CONST, 2, 1.0) == pytest.approx(0.5, abs=1e-6)
@@ -587,7 +597,9 @@ class TestInPlacePartition:
     ALPHAS = (0.5, 1.0, 1.0 / 3.0, 0.999, 1e-3)
 
     @pytest.mark.parametrize("alpha", ALPHAS)
-    @pytest.mark.parametrize("n", (1, 2, 3, 999, 100_000))
+    # n on both sides of block edges: the sums evaluate f _BLOCK points at a time
+    @pytest.mark.parametrize("n", (1, 2, 3, 999, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK,
+                                   3 * _BLOCK + 1, 100_000))
     def test_partitions_and_sums_keep_their_bits(self, alpha, n):
         for t in (1e-6, 3.0, 1e6):
             pair = make_transform(alpha, t)
@@ -621,6 +633,21 @@ class TestInPlacePartition:
             assert partition[-1] == t
             assert same_bits(partition, before.make_partition(pair, n))
             assert same_sum(cavalieri_sum(SQRT, pair, n), before._strip_sum(SQRT, pair, n, "cavalieri"))
+
+    @pytest.mark.parametrize("n", (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 1))
+    def test_f_sees_each_partition_point_once_in_increasing_blocks(self, n):
+        seen = []
+
+        def fn(x):
+            seen.append(x.copy())
+            return x**1.5
+
+        pair = make_transform(0.5, 3.0)
+        assert same_sum(stieltjes_sum(Integrand(fn=fn), pair, n),
+                        before._strip_sum(power_integrand(1.0, 1.5), pair, n, "stieltjes"))
+        assert len(seen) == -(-n // _BLOCK)
+        assert all(0 < x.size <= _BLOCK and np.all(np.diff(x) > 0.0) for x in seen)
+        assert same_bits(np.concatenate(seen), before.make_partition(pair, n)[:-1])
 
     @pytest.mark.parametrize("fn", (
         lambda x: x,  # the partition itself
@@ -689,10 +716,11 @@ class TestStripSumAllocations:
     ARRAY = 8 * (N + 1)
 
     def test_a_strip_sum_holds_the_partition_and_the_heights(self):
+        # the heights of one block at a time: 8 * _BLOCK bytes beside the partition
         pair = make_transform(0.5, 3.0)
         f = power_integrand(1.0, 1.5)
         stieltjes_sum(f, pair, self.N)
-        assert peak_bytes(lambda: stieltjes_sum(f, pair, self.N)) <= 2.25 * self.ARRAY
+        assert peak_bytes(lambda: stieltjes_sum(f, pair, self.N)) <= 1.25 * self.ARRAY
 
     def test_a_partition_is_computed_in_its_own_buffer(self):
         pair = make_transform(0.5, 3.0)
