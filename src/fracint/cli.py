@@ -22,7 +22,7 @@ import numpy as np
 from .engines import METHODS, ROUTES
 from .errors import DomainError, NumericalError
 from .gamma import gamma as gamma_fn
-from .integrand import Integrand, power_integrand
+from .integrand import Integrand, evaluate, power_integrand
 from .operator import (
     DEFAULT_COMPOSE_GRID,
     DEFAULT_SUM_N,
@@ -282,7 +282,7 @@ def _curve_value(op: FractionalOperator, f: Integrand, t: float) -> float:
     if t < 0:
         raise DomainError(f"curve horizon must be >= 0, got {t:g}")
     if t == 0.0:
-        return float(f(0.0)) if op.alpha == 0.0 else 0.0
+        return float(evaluate(f, 0.0)) if op.alpha == 0.0 else 0.0
     return op.apply(f, t).value
 
 

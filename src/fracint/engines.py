@@ -92,11 +92,9 @@ def strip_areas(heights: np.ndarray, width: float, n: int, out=None) -> np.ndarr
 
 def _adaptive_core(f, pair, budget, abs_tol, rel_tol, method) -> QuadratureResult:
     """int_0^{g(t)} f(h(x)) dx as int_0^{t**alpha} f(pair.tau(u)) du / Gamma(alpha+1)."""
-    # adaptive_quadrature's evaluate checks f's output, so f is called directly; when
-    # f takes scalars only, evaluate passes each u alone, and np.asarray keeps tau's
-    # pow on the array rounding (a Python float u would round as a scalar pow)
+    # adaptive_quadrature's evaluate checks f's output, so f is called directly
     raw, err, evals = adaptive_quadrature(
-        lambda u: f(pair.tau(np.asarray(u))), 0.0, pair.t**pair.alpha, abs_tol, rel_tol, budget
+        lambda u: f(pair.tau(u)), 0.0, pair.t**pair.alpha, abs_tol, rel_tol, budget
     )
     scale = 1.0 / pair.gamma_alpha_plus_one
     return QuadratureResult(scale * raw, scale * err, method, evals)
@@ -182,9 +180,8 @@ def cauchy_repeated(f: Integrand, n: int, t: float) -> QuadratureResult:
     t = validate_horizon(t)
 
     def kernel(tau):
-        arr = np.asarray(tau, dtype=float)
-        diff = t - arr
-        vals = np.asarray(evaluate(f, arr))
+        diff = t - tau
+        vals = evaluate(f, tau)
         # node rounding can land exactly on t; the point has measure zero
         with np.errstate(divide="ignore", over="ignore"):
             weight = np.where(diff > 0.0, diff / t, 1.0) ** (n - 1.0)

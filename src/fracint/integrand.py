@@ -18,10 +18,11 @@ BISECTION_ITERATIONS = 100
 class Integrand:
     """A real function on [0, t] with optional monotonicity metadata.
 
-    ``fn`` is applied elementwise, and should accept numpy arrays (all built-in
-    integrands do); scalar-only callables are tolerated through :func:`evaluate`.
-    A route may call it on any subset of abscissae: the 15 or 30 Kronrod nodes of
-    an adaptive step, or one block of a strip sum's partition.  ``power`` carries
+    ``fn`` maps a float64 array to one value per element (:func:`evaluate` raises
+    DomainError on any other shape); a scalar-only g needs one wrap,
+    ``np.vectorize(g, otypes=[float])``.  A route may call it on any subset of
+    abscissae: the 15 or 30 Kronrod nodes of an adaptive step, or one block of a
+    strip sum's partition.  ``power`` carries
     ``(coefficient, exponent)`` when the function is c*tau**p, which unlocks the
     closed-form route.
     """
@@ -40,17 +41,12 @@ class Integrand:
 
 
 def evaluate(fn, x):
-    """Evaluate ``fn`` on scalar or array ``x``, tolerating scalar-only callables."""
+    """fn on x as a float array, shaped like x: the one check of the integrand contract."""
     arr = np.asarray(x, dtype=float)
-    try:
-        out = np.asarray(fn(arr), dtype=float)
-    except (TypeError, ValueError):
-        out = None
-    if out is None or out.shape != arr.shape:
-        # a scalar-only callable raises on an array or returns the wrong shape
-        out = np.array([fn(float(v)) for v in arr.ravel()], dtype=float).reshape(arr.shape)
-    if arr.ndim == 0:
-        return float(out)
+    out = np.asarray(fn(arr), dtype=float)
+    if out.shape != arr.shape:
+        raise DomainError(f"an integrand must map a float array to one value per element, "
+                          f"got shape {out.shape} for shape {arr.shape}")
     return out
 
 

@@ -182,7 +182,7 @@ def stieltjes_integral(f, g_prime, lower: float, upper: float) -> float:
     int f dg = int f(x) g'(x) dx, evaluated by the adaptive engine.
     """
     def weighted(x):
-        return np.asarray(evaluate(f, x)) * np.asarray(evaluate(g_prime, x))
+        return evaluate(f, x) * evaluate(g_prime, x)
 
     value, _, _ = adaptive_quadrature(weighted, lower, upper)
     return value
@@ -211,8 +211,8 @@ class CavalieriRegion:
     def integrator(self, x):
         a0, _ = self.footprint
         arr = np.asarray(x, dtype=float)
-        out = arr - np.asarray(evaluate(self.left, evaluate(self.f, arr))) + a0
-        if np.asarray(x).ndim == 0:
+        out = arr - evaluate(self.left, evaluate(self.f, arr)) + a0
+        if arr.ndim == 0:
             return float(out)
         return out
 

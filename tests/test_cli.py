@@ -171,6 +171,21 @@ class TestComputeCommand:
         row = rows_of(out.read_text().strip().splitlines())[0]
         assert float(row["value"]) == pytest.approx(16.0 / 3.0, rel=1e-6)
 
+    @pytest.mark.parametrize("argv, value", [
+        (["--f", "pow:1:200", "--alpha", "0.5", "--t", "2"], 1.60393286125716e59),
+        (["--f", "pow:1e-300:40", "--alpha", "0.5", "--t", "1e8", "--method", "oracle"], 1.5665061613128e23),
+    ], ids=("gamma-overflows", "power-overflows"))
+    def test_a_finite_oracle_with_overflowing_factors(self, argv, value, capsys):
+        assert run(["compute", *argv]) == 0
+        row = rows_of(capsys.readouterr().out.strip().splitlines())[0]
+        assert float(row["value"]) == pytest.approx(value, rel=1e-11)
+        assert float(row["oracle"]) == pytest.approx(value, rel=1e-11)
+
+    def test_an_oracle_past_the_largest_double_exits_3(self, capsys):
+        assert run(["compute", "--f", "pow:1e-300:3", "--alpha", "0.5", "--t", "1e200",
+                    "--method", "oracle"]) == 3
+        assert "overflows a double" in capsys.readouterr().err
+
     def test_identity_row_uses_oracle_path(self, tmp_path):
         out = tmp_path / "compute.csv"
         assert run(["compute", "--f", "pow:1:1", "--alpha", "0", "--t", "7",

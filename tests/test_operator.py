@@ -1,17 +1,20 @@
+import math
 import os
 import re
 import subprocess
 import sys
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
 import fracint
 
-from fracint.engines import transformed_riemann
+from fracint import cli
+from fracint.engines import cauchy_repeated, transformed_riemann
 from fracint.errors import DomainError, NumericalError
-from fracint.integrand import Integrand, power_integrand
+from fracint.integrand import INCREASING, Integrand, power_integrand
 from fracint.operator import (
     FractionalOperator,
     chebyshev_nodes,
@@ -19,6 +22,8 @@ from fracint.operator import (
     not_a_knot_spline,
     power_oracle,
 )
+from fracint.quadrature import CavalieriRegion, stieltjes_integral
+from fracint.strips import build_strips, region_family
 from fracint.transforms import make_transform
 
 from _reference import (
@@ -99,6 +104,46 @@ class TestPowerOracle:
         with pytest.raises(NumericalError):
             FractionalOperator(0.5, "oracle").apply(power_integrand(1.0, 2.0), 1e130)
 
+    @pytest.mark.parametrize("c, p, alpha, t", [
+        (1.0, 200.0, 0.5, 2.0),  # Gamma(201) overflows
+        (1e-300, 40.0, 0.5, 1e8),  # t**40.5 overflows
+        (-1e-300, 40.0, 0.5, 1e8),
+        (1e-300, 3.0, 0.5, 1e150),
+        (2.5, 171.0, 0.9, 0.5),  # Gamma(172.9) overflows, Gamma(172) does not
+        (1e300, 170.0, 0.5, 1.0),  # c * Gamma(171) overflows
+        (1.0, 1e3, 0.5, 1.0),  # lgamma(p+1) - lgamma(p+1+alpha) would lose 1e-12
+        (2.5, 1e3, 0.7, 1.5),
+        (1.0, 1e6, 0.3, 1.0),
+        (1.0, 1e17, 0.5, 1.0),  # p+1 and p+1+alpha round to one double
+        (1.0, 1e17, 1.0, 1.0),
+    ])
+    def test_overflowing_factors_of_a_finite_value_go_through_logarithms(self, c, p, alpha, t):
+        with mpmath.workdps(60):
+            x = mpmath.mpf(p) + 1
+            log_ratio = mpmath.loggamma(x) - mpmath.loggamma(x + alpha)
+            exact = c * mpmath.exp(log_ratio) * mpmath.mpf(t) ** (mpmath.mpf(p) + alpha)
+            value = power_oracle(p, alpha, t, c)
+            assert abs(value - exact) <= 1e-12 * abs(exact)
+
+    def test_a_zero_coefficient_with_overflowing_factors_is_zero(self):
+        assert power_oracle(200.0, 0.5, 2.0, 0.0) == 0.0
+
+    def test_a_value_past_the_largest_double_still_raises(self):
+        with pytest.raises(NumericalError, match="overflows a double"):
+            power_oracle(3.0, 0.5, 1e200, 1e-300)
+
+    def test_finite_values_keep_the_bits_of_the_direct_product(self):
+        rng = np.random.default_rng(21)
+        for _ in range(2000):
+            c = float(rng.choice([1.0, -2.5, 1e-300, 1e300])) * rng.uniform(0.5, 2.0)
+            p, alpha, t = rng.uniform(0.0, 170.0), rng.uniform(0.0, 1.0), 10.0 ** rng.uniform(-5.0, 5.0)
+            try:
+                direct = c * math.gamma(p + 1.0) / math.gamma(p + 1.0 + alpha) * t ** (p + alpha)
+            except OverflowError:
+                continue
+            if math.isfinite(direct):
+                assert power_oracle(p, alpha, t, c) == direct
+
 
 class TestApply:
     def test_identity_order_returns_plain_value(self):
@@ -158,6 +203,75 @@ class TestApply:
                                r"integrating on \[0, 3\.16228\]") as raised:
                 FractionalOperator(0.5, route=route).apply(power_integrand(1e308, 2.0), 10.0)
         assert isinstance(raised.value.__cause__, RuntimeWarning)
+
+
+class ArraySpy:
+    """An integrand function that records the type and dtype of every argument."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.seen = []
+
+    def __call__(self, x):
+        self.seen.append((type(x), getattr(x, "dtype", None)))
+        return self.fn(x)
+
+    def saw_only_float_arrays(self):
+        return bool(self.seen) and set(self.seen) == {(np.ndarray, np.dtype(np.float64))}
+
+
+def spy_integrand(fn=lambda x: x**1.5):
+    spy = ArraySpy(fn)
+    return spy, Integrand(fn=spy, monotone=INCREASING)
+
+
+class TestIntegrandContract:
+    """Every route and builder hands fn a float64 ndarray, and nothing else."""
+
+    @pytest.mark.parametrize("alpha, route", [
+        (0.5, "direct"), (0.5, "transformed"), (0.5, "stieltjes"), (0.5, "cavalieri"),
+        (0.0, "transformed"),
+    ])
+    def test_routes(self, alpha, route):
+        spy, f = spy_integrand()
+        FractionalOperator(alpha, route, n=1000).apply(f, 2.0)
+        assert spy.saw_only_float_arrays(), spy.seen
+
+    @pytest.mark.parametrize("build", [
+        lambda f: build_strips(f, make_transform(0.5, 2.0), 5),
+        lambda f: region_family(f, [0.0, 0.5], [1.0, 2.0], samples=20),
+        lambda f: compose(FractionalOperator(0.3), FractionalOperator(0.4), f, 1.0, grid=64),
+        lambda f: cauchy_repeated(f, 3, 2.0),
+    ], ids=("build_strips", "region_family", "compose", "cauchy_repeated"))
+    def test_builders(self, build):
+        spy, f = spy_integrand()
+        build(f)
+        assert spy.saw_only_float_arrays(), spy.seen
+
+    def test_stieltjes_integral_and_cavalieri_region(self):
+        f, g_prime = ArraySpy(lambda x: x), ArraySpy(lambda x: 2.0 + 0.0 * x)
+        assert stieltjes_integral(f, g_prime, 0.5, 2.0) == pytest.approx(3.75, abs=1e-9)
+        # the region between y = x, x = 1 - y and x = 4 - y
+        region_f, left = ArraySpy(lambda x: x), ArraySpy(lambda y: 1.0 - y)
+        region = CavalieriRegion(f=region_f, left=left, width=3.0)
+        assert region.area() == pytest.approx(3.75, abs=1e-9)
+        for spy in (f, g_prime, region_f, left):
+            assert spy.saw_only_float_arrays(), spy.seen
+
+    def test_identity_curves_on_the_command_line(self, monkeypatch, capsys):
+        # curves at order 0 evaluates f at t = 0 itself, outside any operator
+        spies = []
+
+        def spied_power(c, p):
+            spy = ArraySpy(power_integrand(c, p).fn)
+            spies.append(spy)
+            return Integrand(fn=spy, monotone=INCREASING, power=(c, p))
+
+        monkeypatch.setattr(cli, "power_integrand", spied_power)
+        argv = ["curves", "--alpha", "0", "--t-start", "0", "--t-stop", "1", "--t-step", "0.5"]
+        assert cli.main(argv) == 0
+        assert "0.00000000000e+00" in capsys.readouterr().out
+        assert len(spies) == 1 and spies[0].saw_only_float_arrays(), spies
 
 
 class TestCompose:

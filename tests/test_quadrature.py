@@ -272,18 +272,30 @@ class TestOneEvaluateLayer:
         )
         assert op.apply(f, t) == expected
 
+    @pytest.mark.parametrize("route", ("direct", "transformed", "stieltjes", "cavalieri"))
+    @pytest.mark.parametrize("fn", (lambda x: 2.0, lambda x: np.ones(1000)), ids=("scalar", "ones-1000"))
+    def test_a_wrong_shape_is_a_domain_error(self, route, fn):
+        with pytest.raises(DomainError, match="one value per element"):
+            FractionalOperator(0.37, route, n=500).apply(Integrand(fn=fn), 2.0)
+
     @pytest.mark.parametrize("route", ("direct", "transformed"))
-    @pytest.mark.parametrize("fn", (math.sqrt, _scalars_only, lambda x: 2.0),
-                             ids=("math.sqrt", "scalars-only", "wrong-shape"))
-    def test_scalar_fallback_matches_the_two_layer_core(self, route, fn):
-        # evaluate's fallback passes each u alone; tau must still round it as an array
-        op = FractionalOperator(0.37, route)
-        f = Integrand(fn=fn)
+    @pytest.mark.parametrize("fn", (math.sqrt, _scalars_only), ids=("math.sqrt", "scalars-only"))
+    def test_a_scalar_only_fn_raises_its_own_type_error(self, route, fn):
+        with pytest.raises(TypeError):
+            FractionalOperator(0.37, route).apply(Integrand(fn=fn), 2.0)
+
+    @pytest.mark.parametrize("route", ("direct", "transformed", "stieltjes"))
+    @pytest.mark.parametrize("fn, twin", [
+        (math.sqrt, np.sqrt),
+        (_scalars_only, lambda x: np.sqrt(x) + 0.25 * x**1.5),
+    ], ids=("math.sqrt", "scalars-only"))
+    def test_a_vectorized_wrap_matches_its_array_twin(self, route, fn, twin):
+        # the same values up to the rounding of a scalar pow against an array pow
+        op = FractionalOperator(0.37, route, n=1000)
+        wrapped = Integrand(fn=np.vectorize(fn, otypes=[float]))
         for t in (0.3, 2.0, 7.0):
-            expected = _reference_adaptive_core(
-                f, make_transform(0.37, t), op.budget, op.abs_tol, op.rel_tol, route
-            )
-            assert op.apply(f, t) == expected
+            got, expected = op.apply(wrapped, t), op.apply(Integrand(fn=twin), t)
+            assert got.value == pytest.approx(expected.value, rel=1e-13, abs=0.0)
 
 
 class TestGenericStieltjes:
@@ -733,12 +745,30 @@ class TestEvaluate:
         with pytest.raises(DomainError, match="unknown monotonicity tag 'up'"):
             Integrand(fn=np.sqrt, monotone="up")
 
-    def test_scalar_only_callable_that_raises_on_arrays(self):
+    def test_a_scalar_only_callable_raises_its_own_type_error(self):
         xs = np.array([[0.0, 1.0], [4.0, 9.0]])
-        assert np.array_equal(evaluate(math.sqrt, xs), np.sqrt(xs))
-        assert evaluate(math.sqrt, 4.0) == 2.0
+        with pytest.raises(TypeError):
+            evaluate(math.sqrt, xs)
+        assert np.array_equal(evaluate(np.vectorize(math.sqrt, otypes=[float]), xs), np.sqrt(xs))
+        # a 0-d input gives a 0-d result, which callers pass to float()
+        assert float(evaluate(math.sqrt, 4.0)) == 2.0
 
-    def test_callable_returning_a_scalar_for_an_array(self):
-        out = evaluate(lambda x: 2.0, np.linspace(0.0, 1.0, 5))
-        assert out.shape == (5,)
-        assert np.all(out == 2.0)
+    def test_a_callable_returning_a_scalar_for_an_array_is_refused(self):
+        with pytest.raises(DomainError, match=r"one value per element, got shape \(\) for shape \(5,\)"):
+            evaluate(lambda x: 2.0, np.linspace(0.0, 1.0, 5))
+
+    def test_a_wrong_shape_is_refused_after_one_call_and_no_more_values(self):
+        # a fn that ignores its input: nothing builds one call per abscissa
+        m = 1000
+        calls = []
+
+        def fixed(x):
+            calls.append(x.shape)
+            return np.ones(m)
+
+        def refused():
+            with pytest.raises(DomainError, match=r"got shape \(1000,\) for shape \(10,\)"):
+                evaluate(fixed, np.ones(10))
+
+        assert peak_bytes(refused) < 2 * 8 * m
+        assert calls == [(10,)]
