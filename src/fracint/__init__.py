@@ -12,7 +12,6 @@ from .errors import (
     BudgetExhaustedError,
     DomainError,
     FracintError,
-    IncompatibleSamplingError,
     NonMonotoneError,
     NumericalError,
     PoleError,
@@ -41,7 +40,6 @@ __all__ = [
     "DomainError",
     "FracintError",
     "FractionalOperator",
-    "IncompatibleSamplingError",
     "Integrand",
     "NonMonotoneError",
     "NumericalError",

@@ -20,10 +20,6 @@ class NonMonotoneError(DomainError):
     """Operation requires a strictly monotone integrand."""
 
 
-class IncompatibleSamplingError(DomainError):
-    """Two geometries cannot be compared point-by-point."""
-
-
 class NumericalError(FracintError):
     """A numerical routine failed to deliver the requested accuracy."""
 

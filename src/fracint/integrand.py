@@ -75,7 +75,7 @@ def bisect_monotone(fn, targets, lo: float, hi: float):
     Halves every bracket together until all have closed or BISECTION_ITERATIONS
     halvings are done, and returns the midpoints.
     """
-    ys = np.atleast_1d(np.asarray(targets, dtype=float))
+    ys = np.asarray(targets, dtype=float)
     los = np.full_like(ys, float(lo))
     his = np.full_like(ys, float(hi))
     for _ in range(BISECTION_ITERATIONS):
@@ -85,8 +85,5 @@ def bisect_monotone(fn, targets, lo: float, hi: float):
         his = np.where(below, his, mid)
         if np.max(his - los) <= 0.0:
             break
-    root = 0.5 * (los + his)
-    if np.ndim(targets) == 0:
-        return float(root[0])
-    return root
+    return 0.5 * (los + his)
 

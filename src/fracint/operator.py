@@ -5,6 +5,7 @@ composition (the order-addition law I^a I^b = I^(a+b)).
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,7 @@ from .transforms import make_transform, validate_horizon, validate_order
 
 DEFAULT_SUM_N = 100_000
 DEFAULT_COMPOSE_GRID = 256
+_LOG_MAX = math.log(sys.float_info.max)  # the largest x whose exp is finite
 
 
 def _log_gamma_ratio(x: float, a: float) -> float:
@@ -47,7 +49,8 @@ def _log_gamma_ratio(x: float, a: float) -> float:
 def power_oracle(exponent: float, alpha: float, t: float, coefficient: float = 1.0) -> float:
     """Closed form for the power family: c * Gamma(p+1)/Gamma(p+1+alpha) * t**(p+alpha).
 
-    Where a factor overflows, the same product is taken through logarithms,
+    Where a factor overflows, or t**(p+alpha) falls below the normal doubles
+    and c is not 0, the same product is taken through logarithms,
     sign(c) * exp(ln|c| + ln(Gamma(p+1)/Gamma(p+1+alpha)) + (p+alpha) ln t).
     Raises NumericalError when the value itself overflows.
     """
@@ -56,19 +59,17 @@ def power_oracle(exponent: float, alpha: float, t: float, coefficient: float = 1
         raise DomainError(f"power exponent must be finite and >= 0, got {p!r}")
     alpha = validate_order(alpha, allow_zero=True)
     t = validate_horizon(t)
-    try:
-        value = coefficient * gamma(p + 1.0) / gamma(p + 1.0 + alpha) * t ** (p + alpha)
-        if not math.isfinite(value):  # inf, or nan from inf * 0.0 where t**(p+alpha) underflows
-            raise OverflowError
-    except (DomainError, OverflowError):  # gamma past 171.6, t**(p+alpha) or the product
+    try:  # gamma past 171.6 raises DomainError, t**(p+alpha) past the largest double OverflowError
+        power = t ** (p + alpha)
+        value = coefficient * gamma(p + 1.0) / gamma(p + 1.0 + alpha) * power
+    except (DomainError, OverflowError):
+        power = value = math.inf
+    # a factor overflowed (inf, or nan from inf * 0.0), or a subnormal or 0.0 power lost digits
+    if not math.isfinite(value) or (coefficient and power < sys.float_info.min):
         log_c = math.log(abs(coefficient)) if coefficient else -math.inf
-        try:
-            value = math.copysign(
-                math.exp(log_c + _log_gamma_ratio(p + 1.0, alpha) + (p + alpha) * math.log(t)),
-                coefficient,
-            )
-        except OverflowError:
-            value = math.inf
+        log_value = log_c + _log_gamma_ratio(p + 1.0, alpha) + (p + alpha) * math.log(t)
+        # past _LOG_MAX exp raises OverflowError; inf is refused below
+        value = math.inf if log_value > _LOG_MAX else math.copysign(math.exp(log_value), coefficient)
     if not math.isfinite(value):
         raise NumericalError(
             f"non-finite closed form {value!r} for c = {coefficient:g}, p = {p:g} at t = {t:g}: "

@@ -211,10 +211,7 @@ class CavalieriRegion:
     def integrator(self, x):
         a0, _ = self.footprint
         arr = np.asarray(x, dtype=float)
-        out = arr - evaluate(self.left, evaluate(self.f, arr)) + a0
-        if arr.ndim == 0:
-            return float(out)
-        return out
+        return arr - evaluate(self.left, evaluate(self.f, arr)) + a0
 
     @cached_property
     def _corners(self):

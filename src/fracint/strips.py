@@ -12,12 +12,11 @@ builder that checks the sample count and the integrand once.
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .engines import make_partition, strip_areas
-from .errors import DomainError, IncompatibleSamplingError, NonMonotoneError, NumericalError
+from .errors import DomainError, NonMonotoneError, NumericalError
 from .integrand import INCREASING, Integrand, evaluate
 from .transforms import TransformPair, validate_horizon, validate_order
 
@@ -43,7 +42,6 @@ class StripGeometry:
 @dataclass(frozen=True)
 class TranslationReport:
     max_translation_deviation: float
-    right_edge_shape_distance: Optional[float] = None
 
 
 def _assemble(f, alpha, t, width, n, side, x2, samples) -> StripGeometry:
@@ -150,13 +148,11 @@ def region_family(
     return family
 
 
-def translate_check(geom: StripGeometry, other: Optional[StripGeometry] = None) -> TranslationReport:
+def translate_check(geom: StripGeometry) -> TranslationReport:
     """Quantify the translation structure of a geometry.
 
     Reports the worst deviation of adjacent boundaries from the constant strip
-    offset at the tau steps they share, and, given a second geometry, the
-    normalized-shape distance between the two right edges (each edge rescaled
-    to unit width, compared at matched sample indices).
+    offset at the tau steps they share.
     """
     deviation = 0.0
     for i in range(geom.n):
@@ -165,23 +161,4 @@ def translate_check(geom: StripGeometry, other: Optional[StripGeometry] = None) 
         q = geom.boundaries[i + 1][: len(p)]
         offsets = np.abs((q[:, 0] - p[:, 0]) - geom.strip_width)
         deviation = max(deviation, float(np.max(offsets, initial=0.0)))
-
-    distance = None
-    if other is not None:
-        if geom.samples_per_curve != other.samples_per_curve:
-            raise IncompatibleSamplingError(
-                "right edges must be sampled at the same number of tau steps"
-            )
-        e1, e2 = geom.boundaries[-1], other.boundaries[-1]
-        if len(e1) != len(e2):
-            raise IncompatibleSamplingError("right edges have different sample counts")
-        distance = float(np.max(np.abs(_unit_shape(e1, geom.t) - _unit_shape(e2, other.t))))
-    return TranslationReport(deviation, distance)
-
-
-def _unit_shape(edge: np.ndarray, t: float) -> np.ndarray:
-    xs = edge[:, 0]
-    span = float(xs.max() - xs.min())
-    if span <= 1e-12 * max(1.0, t):
-        return np.zeros_like(xs)
-    return (xs - xs.min()) / span
+    return TranslationReport(deviation)

@@ -65,17 +65,14 @@ class TransformPair:
         self.width = self.t**self.alpha / self.gamma_alpha_plus_one
 
     def forward(self, tau):
-        """g(tau) on [0, t]; strictly increasing."""
+        """g(tau) on [0, t]; strictly increasing.  A numpy value shaped like tau."""
         arr = np.asarray(tau, dtype=float)
         slack = 1e-12 * self.t
         if np.any(arr < -slack) or np.any(arr > self.t + slack):
             raise DomainError(f"tau outside [0, {self.t:g}]")
         arr = np.clip(arr, 0.0, self.t)
         t, a = self.t, self.alpha
-        out = (t**a - (t - arr) ** a) / self.gamma_alpha_plus_one
-        if np.asarray(tau).ndim == 0:
-            return float(out)
-        return out
+        return (t**a - (t - arr) ** a) / self.gamma_alpha_plus_one
 
     def tau(self, u, out=None):
         """h on the u axis: t - u**(1/alpha), floored at 0, for u in [0, t**alpha].
@@ -98,9 +95,9 @@ class TransformPair:
     def inverse(self, x, out=None):
         """h(x) on [0, t**alpha / Gamma(alpha + 1)]; inverse of forward.
 
-        ``x`` is only read unless it is ``out``: given a float array ``out`` of
-        x's shape, h(x) is computed there once x passes its range check, and
-        ``out`` is returned.
+        Returns a numpy value shaped like x.  ``x`` is only read unless it is
+        ``out``: given a float array ``out`` of x's shape, h(x) is computed
+        there once x passes its range check, and ``out`` is returned.
         """
         arr = np.asarray(x, dtype=float)
         slack = 1e-12 * self.width
@@ -110,10 +107,7 @@ class TransformPair:
             u = np.multiply(self.gamma_alpha_plus_one, arr, out=out)
             np.subtract(self.t**self.alpha, u, out=u)
             return self.tau(np.maximum(u, 0.0, out=u), out=u)
-        out = self.tau(np.maximum(self.t**self.alpha - self.gamma_alpha_plus_one * arr, 0.0))
-        if np.asarray(x).ndim == 0:
-            return float(out)
-        return out
+        return self.tau(np.maximum(self.t**self.alpha - self.gamma_alpha_plus_one * arr, 0.0))
 
     def __repr__(self):
         return f"TransformPair(alpha={self.alpha:g}, t={self.t:g})"

@@ -8,6 +8,8 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fracint
 
@@ -37,6 +39,14 @@ from _reference import (
 
 LINEAR = power_integrand(1.0, 1.0)
 SQRT = power_integrand(1.0, 0.5)
+
+
+def exact_power_integral(c, p, alpha, t):
+    """c * Gamma(p+1)/Gamma(p+1+alpha) * t**(p+alpha) in mpmath at 50 digits."""
+    with mpmath.workdps(50):
+        x = mpmath.mpf(p) + 1
+        log_ratio = mpmath.loggamma(x) - mpmath.loggamma(x + alpha)
+        return c * mpmath.exp(log_ratio) * mpmath.mpf(t) ** (mpmath.mpf(p) + alpha)
 
 
 class TestPowerOracle:
@@ -133,6 +143,7 @@ class TestPowerOracle:
             power_oracle(3.0, 0.5, 1e200, 1e-300)
 
     def test_finite_values_keep_the_bits_of_the_direct_product(self):
+        # where t**(p+alpha) is subnormal or 0 the oracle takes logarithms instead
         rng = np.random.default_rng(21)
         for _ in range(2000):
             c = float(rng.choice([1.0, -2.5, 1e-300, 1e300])) * rng.uniform(0.5, 2.0)
@@ -141,8 +152,47 @@ class TestPowerOracle:
                 direct = c * math.gamma(p + 1.0) / math.gamma(p + 1.0 + alpha) * t ** (p + alpha)
             except OverflowError:
                 continue
-            if math.isfinite(direct):
-                assert power_oracle(p, alpha, t, c) == direct
+            if not math.isfinite(direct):
+                continue
+            value = power_oracle(p, alpha, t, c)
+            if t ** (p + alpha) >= sys.float_info.min:
+                assert value == direct
+            else:
+                exact = exact_power_integral(c, p, alpha, t)
+                assert abs(value - exact) <= 1e-12 * max(abs(exact), sys.float_info.min)
+
+    @pytest.mark.parametrize("c, p, alpha, t", [
+        (1e200, 40.0, 0.5, 1e-9),  # t**40.5 is 0.0, and so is the direct product
+        (1.9165204978129137e300, 1.0729022206143846, 0.03203115298798109, 7.906773054135529e-292),
+        (1.83e300, 1.662, 0.9993, 1.87e-121),  # subnormal t**(p+alpha): the direct product is 1%, 0.3% off
+    ])
+    def test_a_subnormal_power_goes_through_logarithms(self, c, p, alpha, t):
+        assert t ** (p + alpha) < sys.float_info.min
+        exact = exact_power_integral(c, p, alpha, t)
+        assert abs(power_oracle(p, alpha, t, c) - exact) <= 1e-12 * abs(exact)
+
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(
+        log_c=st.floats(-300.0, 300.0),
+        sign=st.sampled_from((1.0, -1.0)),
+        p=st.one_of(st.floats(0.0, 200.0), st.floats(2.0, 6.0).map(lambda e: 10.0 ** e)),
+        alpha=st.floats(0.0, 1.0),
+        log_value=st.floats(-330.0, 330.0),
+    )
+    def test_matches_mpmath_across_the_domain(self, log_c, sign, p, alpha, log_value):
+        # t puts c * t**(p+alpha) near 10**log_value, so most values are normal doubles;
+        # t is kept in [1e-300, 1e300], which leaves some below or past the double range
+        exponent = p + alpha
+        log_t = (log_value - log_c) / exponent if exponent else 0.0
+        c, t = sign * 10.0 ** log_c, 10.0 ** min(max(log_t, -300.0), 300.0)
+        exact = abs(exact_power_integral(c, p, alpha, t))
+        if exact > sys.float_info.max * (1.0 + 1e-12):
+            with pytest.raises(NumericalError, match="overflows a double"):
+                power_oracle(p, alpha, t, c)
+        elif exact < sys.float_info.max * (1.0 - 1e-12):
+            value = power_oracle(p, alpha, t, c)
+            assert math.copysign(1.0, value) == sign
+            assert abs(abs(value) - exact) <= 1e-12 * max(exact, sys.float_info.min)
 
 
 class TestApply:

@@ -10,12 +10,7 @@ from hypothesis import strategies as st
 
 from fracint import engines
 from fracint.engines import cavalieri_sum, make_partition, stieltjes_sum, strip_areas
-from fracint.errors import (
-    DomainError,
-    IncompatibleSamplingError,
-    NonMonotoneError,
-    NumericalError,
-)
+from fracint.errors import DomainError, NonMonotoneError, NumericalError
 from fracint.integrand import Integrand, evaluate, power_integrand
 from fracint.operator import FractionalOperator
 from fracint.strips import build_strips, region_family, translate_check
@@ -283,13 +278,29 @@ class TestRegionFamily:
         with pytest.raises(DomainError, match="need at least 2 samples per curve"):
             region_family(SQRT, [0.0], [9.0], samples=1)
 
+    def test_right_edges_differ_across_horizons(self):
+        # the shape of the side is fixed by alpha and t: rescaled to unit width, the
+        # right edges of two horizons differ at matched tau steps
+        def unit_width(edge):
+            xs = edge[:, 0]
+            return (xs - xs.min()) / np.ptp(xs)
+
+        small, large = region_family(LINEAR, [0.8], [2.0, 10.0], samples=150)
+        a, b = unit_width(small.boundaries[-1]), unit_width(large.boundaries[-1])
+        assert a.shape == b.shape and np.max(np.abs(a - b)) > 1e-3
+
+    @pytest.mark.parametrize("t", (3.0, 9.0))
+    def test_order_one_right_edges_are_vertical_lines(self, t):
+        # at alpha = 1, g(tau) = tau: the side is x = 0 and the right edge x = t
+        xs = region_family(LINEAR, [1.0], [t], samples=150)[0].boundaries[-1][:, 0]
+        assert np.ptp(xs) <= 1e-12 * t and np.max(np.abs(xs - t)) <= 1e-12 * t
+
 
 class TestTranslateCheck:
     def test_within_geometry_deviation_is_tiny(self):
         geom = build_strips(LINEAR, make_transform(0.8, 10.0), 5, 200)
         report = translate_check(geom)
         assert report.max_translation_deviation <= 1e-10 * 10.0
-        assert report.right_edge_shape_distance is None
 
     def test_a_moved_row_shows_as_deviation(self):
         # boundaries share their tau steps row for row, so one row moved by 1e-3 reads 1e-3
@@ -298,29 +309,6 @@ class TestTranslateCheck:
         moved[3][10, 0] += 1e-3
         report = translate_check(dataclasses.replace(geom, boundaries=tuple(moved)))
         assert report.max_translation_deviation == pytest.approx(1e-3, rel=1e-6)
-
-    def test_right_edges_differ_across_horizons(self):
-        small, large = region_family(LINEAR, [0.8], [2.0, 10.0], samples=150)
-        report = translate_check(small, large)
-        assert report.right_edge_shape_distance > 1e-3
-
-    def test_order_one_edges_are_identical_lines(self):
-        first, second = region_family(LINEAR, [1.0], [3.0, 9.0], samples=150)
-        report = translate_check(first, second)
-        assert report.right_edge_shape_distance == 0.0
-
-    def test_incompatible_sampling_rejected(self):
-        a = build_strips(LINEAR, make_transform(0.8, 10.0), 1, 150)
-        b = build_strips(LINEAR, make_transform(0.8, 2.0), 1, 100)
-        with pytest.raises(IncompatibleSamplingError):
-            translate_check(a, b)
-
-    def test_right_edges_of_different_lengths_rejected(self):
-        a = build_strips(LINEAR, make_transform(0.8, 10.0), 1, 150)
-        b = build_strips(LINEAR, make_transform(0.8, 2.0), 1, 150)
-        short = dataclasses.replace(b, boundaries=b.boundaries[:-1] + (b.boundaries[-1][:-1],))
-        with pytest.raises(IncompatibleSamplingError, match="different sample counts"):
-            translate_check(a, short)
 
 
 class TestSmallExponents:
