@@ -7,9 +7,10 @@ default and parses every input, the integrand spec and the comma-separated
 lists included, before any handler runs, so a malformed input exits 2 before
 any computation.  Each subcommand
 and each shared flag group is declared once, and a run builds only the parser
-of the subcommand it runs.  An
-optional key=value config file replaces the defaults of the settings flags its
-subcommand offers; explicit flags always win.  Every printed area is an
+of the subcommand it runs; an in-process ``main`` reuses a subcommand parser
+that an earlier call built.  An optional key=value config file replaces, for
+its own call only, the defaults of the settings flags its subcommand offers;
+explicit flags always win.  Every printed area is an
 operator value: ``strips`` draws geometry only and offers no settings flags.
 """
 
@@ -386,34 +387,36 @@ COMMANDS = (
 )
 
 
+# the subcommand parsers built so far in this process, by name
+_BUILT = {}
+
+
 class _SubcommandParsers(dict):
-    """COMMANDS rows by name; looking a name up builds its parser once, in place of its row.
+    """COMMANDS rows by name; looking a name up builds its parser once per process.
 
     Registered as ``add_parser`` would register each row, through argparse internals
     (CPython 3.11): the map the subparsers action looks a parsed name up in, and one
-    ``_ChoicesPseudoAction`` per name holding its help line.
+    ``_ChoicesPseudoAction`` per name holding its help line.  A parser built by an
+    earlier lookup is kept in ``_BUILT`` and returned again.
     """
 
     def __init__(self, sub):
         super().__init__((row[0], row) for row in COMMANDS)
-        self.prog = sub._prog_prefix
         sub.choices = sub._name_parser_map = self
         sub._choices_actions += [sub._ChoicesPseudoAction(row[0], (), row[2]) for row in COMMANDS]
 
     def __getitem__(self, name):
-        row = super().__getitem__(name)
-        if isinstance(row, argparse.ArgumentParser):
-            return row
-        _, handler, _, groups, flags = row
-        p = self[name] = argparse.ArgumentParser(prog=f"{self.prog} {name}")
-        for names, options in [*(g for key in (*groups, "out") for g in GROUPS[key]), *flags]:
-            p.add_argument(*names, **options)
-        p.set_defaults(handler=handler, parser=p)
-        return p
+        if name not in _BUILT:
+            _, handler, _, groups, flags = super().__getitem__(name)
+            p = _BUILT[name] = argparse.ArgumentParser(prog=f"fracint {name}")
+            for names, options in [*(g for key in (*groups, "out") for g in GROUPS[key]), *flags]:
+                p.add_argument(*names, **options)
+            p.set_defaults(handler=handler, parser=p)
+        return _BUILT[name]
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The ``fracint`` parser; a parse builds the parser of the subcommand it looks up.
+    """A fresh ``fracint`` parser; a parse looks up, and so builds once, its subcommand's parser.
 
     Each subcommand parser adds its own actions for the groups it names, so a config
     file's set_defaults on one subcommand reaches no other.
@@ -423,7 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Order-alpha integrals by four named routes on two numerical cores, "
         "with strip-geometry and table/figure data emitters.",
     )
-    _SubcommandParsers(parser.add_subparsers(dest="command", required=True))
+    # prog given, so that argparse does not format the usage above to derive the same name
+    _SubcommandParsers(parser.add_subparsers(dest="command", required=True, prog="fracint"))
     return parser
 
 
@@ -432,9 +436,16 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if getattr(args, "config", None):
-            # the parser is built afresh per call, so these defaults do not outlive it
-            args.parser.set_defaults(**load_config(args.config, args.parser))
-            args = parser.parse_args(argv)
+            # the subcommand parser outlives this call, so the file's defaults are
+            # restored once the reparse has read them
+            sub = args.parser
+            config = load_config(args.config, sub)
+            previous = {key: sub.get_default(key) for key in config}
+            sub.set_defaults(**config)
+            try:
+                args = parser.parse_args(argv)
+            finally:
+                sub.set_defaults(**previous)
         # an overflow is refused by the check that meets it (_kronrod, QuadratureResult,
         # strips), so numpy's warning would only print before the fracint: line
         with np.errstate(over="ignore"):

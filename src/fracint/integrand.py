@@ -1,5 +1,6 @@
 """Integrand descriptions shared by the quadrature engines and strip geometry."""
 
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -59,8 +60,20 @@ def power_integrand(coefficient: float, exponent: float) -> Integrand:
     if p < 0:
         raise DomainError(f"power integrand exponent must be >= 0, got {p:g}")
 
+    scales_up = abs(c) > 1.0
+
     def fn(tau):
-        return c * np.asarray(tau, dtype=float) ** p
+        tau = np.asarray(tau, dtype=float)
+        power = tau**p
+        values = c * power
+        if scales_up:
+            # a tau**p below the normal range has lost digits, or all of them, before c
+            # scales it up: those elements go through logarithms, which cannot overflow there
+            lost = (power < sys.float_info.min) & (tau > 0.0)
+            if lost.any():
+                logs = p * np.log(np.where(lost, tau, 1.0)) + np.log(abs(c))
+                values = np.where(lost, np.copysign(np.exp(logs), c), values)
+        return values
 
     if p == 0 or c == 0:
         monotone = UNKNOWN

@@ -58,33 +58,40 @@ def _unwritable(path, exc: OSError) -> DomainError:
 
 
 def write_texts(*outputs) -> None:
-    """``write_text`` each (path, text) pair once all paths open, so a bad one writes nothing."""
-    for path, _ in outputs:
-        try:
-            if path is not None:
-                open(path, "a").close()  # creates a missing file empty, keeps an existing one
-        except OSError as exc:
-            raise _unwritable(path, exc) from None
-    for path, text in outputs:
-        write_text(path, text)
+    """Write each (path, text) pair to its file, or to stdout where path is None.
+
+    Every file is opened before the first write, so a path that cannot be written
+    writes nothing; it is an input error.
+    """
+    handles = []
+    try:
+        for path, _ in outputs:
+            try:
+                # not "w": ext4 flushes a file truncated to 0 on close, so only a
+                # non-empty one is emptied, below
+                handles.append(None if path is None else open(path, "a", newline=""))
+            except OSError as exc:
+                raise _unwritable(path, exc) from None
+        for handle, (path, text) in zip(handles, outputs):
+            if handle is None:
+                sys.stdout.write(text)
+                continue
+            try:
+                with handle:
+                    if os.fstat(handle.fileno()).st_size:
+                        handle.truncate(0)
+                    handle.write(text)
+            except OSError as exc:
+                raise _unwritable(path, exc) from None
+    finally:
+        for handle in handles:
+            if handle is not None:
+                handle.close()
 
 
 def write_text(path, text) -> None:
-    """Write to a file (newline-preserving) or stdout when path is None.
-
-    A path that cannot be written is an input error.
-    """
-    if path is None:
-        sys.stdout.write(text)
-        return
-    try:
-        # not "w": ext4 flushes a file truncated to 0 on close, so only a non-empty one is emptied
-        with open(path, "a", newline="") as handle:
-            if os.fstat(handle.fileno()).st_size:
-                handle.truncate(0)
-            handle.write(text)
-    except OSError as exc:
-        raise _unwritable(path, exc) from None
+    """``write_texts`` of one (path, text) pair."""
+    write_texts((path, text))
 
 
 def json_text(payload) -> str:

@@ -195,6 +195,41 @@ class TestPowerOracle:
             assert abs(abs(value) - exact) <= 1e-12 * max(exact, sys.float_info.min)
 
 
+class TestPowerIntegrand:
+    @pytest.mark.parametrize("c", (1e200, -1e200))
+    @pytest.mark.parametrize("route", ("transformed", "direct", "stieltjes", "cavalieri"))
+    def test_a_subnormal_power_is_scaled_up_through_logarithms(self, route, c):
+        # tau**40 is 0.0 for tau below 1e-8, so c * tau**40 is 0.0 on all of [0, 1e-9]
+        value = FractionalOperator(0.5, route=route).apply(power_integrand(c, 40.0), 1e-9).value
+        exact = power_oracle(40.0, 0.5, 1e-9, c)
+        tol = 1e-4 if route in ("stieltjes", "cavalieri") else 1e-9
+        assert abs(value - exact) <= tol * abs(exact)
+
+    def test_values_keep_the_bits_of_the_direct_product_where_the_power_is_normal(self):
+        rng = np.random.default_rng(23)
+        for _ in range(400):
+            c = float(rng.choice([1.0, -2.5, 1e-300, 1e100, -1e300])) * rng.uniform(0.5, 2.0)
+            p = float(rng.choice([rng.uniform(0.0, 3.0), rng.uniform(0.0, 200.0)]))
+            tau = np.append(10.0 ** rng.uniform(-12.0, 3.0, size=31), 0.0)
+            with np.errstate(over="ignore"):
+                values = power_integrand(c, p).fn(tau)
+                power = tau**p
+                expected = c * power
+            normal = (power >= sys.float_info.min) | (tau == 0.0)
+            assert np.array_equal(values[normal].view(np.int64), expected[normal].view(np.int64))
+            if abs(c) <= 1.0:
+                assert np.array_equal(values.view(np.int64), expected.view(np.int64))
+                continue
+            for x, value in zip(tau[~normal], values[~normal]):
+                with mpmath.workdps(30):
+                    exact = float(c * mpmath.mpf(x) ** p)
+                assert abs(value - exact) <= 1e-12 * max(abs(exact), sys.float_info.min)
+
+    def test_a_scalar_array_is_scaled_up_too(self):
+        value = power_integrand(-1e200, 40.0).fn(np.asarray(1e-9))
+        assert value.shape == () and value == pytest.approx(-1e-160, rel=1e-13)
+
+
 class TestApply:
     def test_identity_order_returns_plain_value(self):
         result = FractionalOperator(0.0).apply(LINEAR, 7.0)

@@ -156,6 +156,26 @@ def test_new_files_are_not_opened_for_truncation(tmp_path, monkeypatch):
     assert out.stat().st_size and svg.stat().st_size
 
 
+@pytest.mark.parametrize("argv, names", [
+    (STRIPS, ("strips.csv", "strips.svg")),
+    (["regions", "--samples", "9"], ("strips.csv", "strips.svg")),
+    (["gamma", "--x", "0.5"], ("strips.csv",)),
+], ids=["strips", "regions", "gamma"])
+def test_each_output_file_is_opened_once(argv, names, tmp_path, monkeypatch):
+    opened = []
+
+    def recording_open(file, *args, **kwargs):
+        opened.append(file)
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(output, "open", recording_open, raising=False)
+    paths = [str(tmp_path / name) for name in names]
+    flags = ["--out", paths[0]] + (["--svg", paths[1]] if len(paths) > 1 else [])
+    assert cli.main(argv + flags) == 0
+    assert opened == paths
+    assert all((tmp_path / name).stat().st_size for name in names)
+
+
 def test_a_longer_existing_file_is_replaced(tmp_path):
     fresh, old = tmp_path / "fresh", tmp_path / "old"
     fresh.mkdir()

@@ -1,4 +1,5 @@
-"""The ``fracint`` parser builds a subcommand's parser only when a parse looks it up.
+"""The ``fracint`` parser builds a subcommand's parser only when a parse looks it up,
+and keeps it for later calls in the same process.
 
 ``_parser_before`` is a verbatim copy of the parser that built all 15 parsers
 on every run.  Each argv below goes through ``cli.main`` once with each parser:
@@ -133,7 +134,8 @@ def test_config_key_another_subcommand_has_matches_the_eager_parser(
 
 @pytest.fixture
 def built(monkeypatch):
-    """The prog of every ArgumentParser built, in order."""
+    """The prog of every ArgumentParser built, in order, from an empty subcommand cache."""
+    monkeypatch.setattr(cli, "_BUILT", {})
     progs = []
     init = argparse.ArgumentParser.__init__
 
@@ -159,6 +161,46 @@ def test_compare_builds_only_its_parser_once_with_a_config(built, tmp_path):
     assert cli.main(["compare", "--alpha", "0.5", "--t", "1", "--n", "10", "--config",
                      str(config), "--out", str(out)]) == 0
     assert built == ["fracint", "fracint compare"]
+
+
+def test_a_second_identical_run_builds_only_the_top_level_parser(built, tmp_path):
+    out = tmp_path / "compare.json"
+    argv = ["compare", "--alpha", "0.5", "--t", "1", "--n", "10", "--out", str(out)]
+    assert cli.main(argv) == 0
+    first = out.read_bytes()
+    del built[:]
+    assert cli.main(argv) == 0
+    assert built == ["fracint"]
+    assert out.read_bytes() == first
+
+
+@pytest.mark.parametrize("config_first", [True, False], ids=["config-first", "plain-first"])
+def test_a_config_applies_only_to_its_own_run(config_first, tmp_path, monkeypatch, capsys):
+    """A --config run and the same argv without it, in either order, each give the
+    namespace and bytes of that argv in a fresh process: the subcommand parser both
+    reuse keeps no default from the file."""
+    config = tmp_path / "fracint.conf"
+    config.write_text("tolerance = 1e-30\nrel_tol = 1e-6\nn = 20\n")
+    plain = ["compare", "--alpha", "0.5", "--t", "1", "--n", "10"]
+    argvs = {"plain": plain, "config": plain + ["--config", str(config)]}
+    build = cli.build_parser
+
+    def run(argv):
+        """The parse outcome of ``argv``, then the bytes a real run of it writes."""
+        parsed = outcome(build, argv, monkeypatch, capsys)
+        monkeypatch.setattr(cli, "build_parser", build)
+        out = tmp_path / "compare.json"
+        code = cli.main(argv + ["--out", str(out)])
+        return parsed, code, out.read_bytes()
+
+    expected = {}
+    for name, argv in argvs.items():
+        monkeypatch.setattr(cli, "_BUILT", {})
+        expected[name] = run(argv)
+    assert expected["config"] != expected["plain"]
+    monkeypatch.setattr(cli, "_BUILT", {})
+    for name in ("config", "plain") if config_first else ("plain", "config"):
+        assert run(argvs[name]) == expected[name], name
 
 
 def test_top_level_help_lists_every_subcommand_and_builds_none(built, capsys):
