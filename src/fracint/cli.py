@@ -159,7 +159,7 @@ def cmd_transform(args) -> None:
 
 
 def cmd_compute(args) -> None:
-    rows = ["alpha,t,method,value,oracle,abs_err,rel_err,n_evals,seconds"]
+    records = []
     for alpha in args.alpha:
         op = _operator(alpha, args.method, args)
         for t in args.t:
@@ -168,22 +168,12 @@ def cmd_compute(args) -> None:
             seconds = time.perf_counter() - start
             oracle = _oracle_value(args.f, alpha, t)
             abs_err = abs(result.value - oracle)
-            rows.append(
-                ",".join(
-                    (
-                        format_number(alpha),
-                        format_number(t),
-                        args.method,
-                        format_number(result.value),
-                        format_number(oracle),
-                        format_number(abs_err),
-                        format_number(abs_err / max(abs(oracle), _TINY)),
-                        str(result.evaluations),
-                        format_number(seconds),
-                    )
-                )
-            )
-    write_text(args.out, "\n".join(rows) + "\n")
+            records.append((alpha, t, result.value, oracle, abs_err,
+                            abs_err / max(abs(oracle), _TINY), result.evaluations, seconds))
+    # a method name holds no "%", so it is a literal of the row template
+    row = f"{_PAIR},{args.method},{_PAIR},{_PAIR},%d,{CSV_NUMBER}"
+    header = "alpha,t,method,value,oracle,abs_err,rel_err,n_evals,seconds"
+    write_text(args.out, join_blocks([header, format_rows(row, zip(*records))]))
 
 
 def cmd_compare(args) -> None:
@@ -255,26 +245,25 @@ def cmd_regions(args) -> None:
 
     outline_block = ["alpha,t,part,x,y"]
     area_block = ["alpha,t,area"]
+    drawn = []  # (t, curve, edge) of each region
     for geometry in family:
         # formatted numbers hold no "%", so the prefix is a literal of the row template
         prefix = f"{format_number(geometry.alpha)},{format_number(geometry.t)}"
         curve = geometry.region_outline[: geometry.samples_per_curve]
         edge = geometry.boundaries[-1]
+        drawn.append((geometry.t, curve, edge))
         outline_block.append(format_rows(f"{prefix},f,{_PAIR}", (curve[:, 0], curve[:, 1])))
         outline_block.append(format_rows(f"{prefix},edge,{_PAIR}", (edge[:, 0], edge[:, 1])))
         area = _operator(geometry.alpha, "transformed", args).apply(args.f, geometry.t).value
         area_block.append(f"{prefix},{format_number(area)}")
     svg = []
     if args.svg:
-        t_values = sorted({g.t for g in family})
+        t_values = sorted({t for t, _, _ in drawn})
         curves = []
-        for geometry in family:
-            shade = (
-                t_values.index(geometry.t) / max(len(t_values) - 1, 1)
-            )
-            curve = geometry.region_outline[: geometry.samples_per_curve]
+        for t, curve, edge in drawn:
+            shade = t_values.index(t) / max(len(t_values) - 1, 1)
             curves.append({"points": curve, "dashed": False, "shade": 0.0})
-            curves.append({"points": geometry.boundaries[-1], "dashed": False, "shade": shade})
+            curves.append({"points": edge, "dashed": False, "shade": shade})
         svg = [(args.svg, svg_document(curves))]
     write_texts((args.out, join_blocks(outline_block, area_block)), *svg)
 

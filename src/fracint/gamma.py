@@ -8,9 +8,6 @@ import math
 
 from .errors import DomainError, PoleError
 
-# Largest argument before Gamma(x) overflows a double.
-_OVERFLOW_X = 171.624
-
 # |x - nearest integer| below this counts as sitting on a pole.
 POLE_TOLERANCE = 1e-12
 
@@ -25,17 +22,18 @@ def gamma(x: float) -> float:
     """Gamma(x) for real x away from the non-positive integers.
 
     Raises PoleError on (near-)poles, DomainError for non-finite input or
-    arguments large enough to overflow (> ~171.6).  Far below zero the value
-    underflows towards (signed) zero.
+    arguments where ``math.gamma`` overflows (above about 171.62).  Far below
+    zero the value underflows towards (signed) zero.
     """
     x = float(x)
     if not math.isfinite(x):
         raise DomainError(f"gamma argument must be finite, got {x!r}")
     if is_pole(x):
         raise PoleError(f"pole at non-positive integer (x = {x:g})")
-    if x > _OVERFLOW_X:
-        raise DomainError(f"gamma({x:g}) overflows double precision")
-    return math.gamma(x)
+    try:
+        return math.gamma(x)
+    except OverflowError:
+        raise DomainError(f"gamma({x:g}) overflows double precision") from None
 
 
 def recip_gamma(x: float) -> float:
@@ -49,10 +47,11 @@ def recip_gamma(x: float) -> float:
         raise DomainError(f"recip_gamma argument must be finite, got {x!r}")
     if is_pole(x):
         return 0.0
-    if x > _OVERFLOW_X:
-        # Gamma overflows but its reciprocal just underflows.
-        return 0.0
-    value = gamma(x)
+    try:
+        value = gamma(x)
+    except DomainError:
+        # Gamma overflows, but its reciprocal is subnormal or 0.0, and lgamma is finite
+        return math.exp(-math.lgamma(x))
     recip = 1.0 / value if value != 0.0 else math.inf
     if not math.isfinite(recip):
         raise DomainError(f"1/gamma({x:g}) overflows double precision")

@@ -12,8 +12,6 @@ INCREASING = "increasing"
 DECREASING = "decreasing"
 UNKNOWN = "unknown"
 
-BISECTION_ITERATIONS = 100
-
 
 @dataclass(frozen=True)
 class Integrand:
@@ -61,18 +59,28 @@ def power_integrand(coefficient: float, exponent: float) -> Integrand:
         raise DomainError(f"power integrand exponent must be >= 0, got {p:g}")
 
     scales_up = abs(c) > 1.0
+    scales_down = 0.0 < abs(c) < 1.0
 
     def fn(tau):
         tau = np.asarray(tau, dtype=float)
-        power = tau**p
+        if scales_down:
+            with np.errstate(over="ignore"):  # an inf power is redone below
+                power = tau**p
+        else:
+            power = tau**p
         values = c * power
+        # the elements whose tau**p lost digits before c scales it go through logarithms:
+        # below the normal range when c scales up, where the logarithms cannot overflow,
+        # and past the largest double when c scales down, where exp warns if c*tau**p does
         if scales_up:
-            # a tau**p below the normal range has lost digits, or all of them, before c
-            # scales it up: those elements go through logarithms, which cannot overflow there
             lost = (power < sys.float_info.min) & (tau > 0.0)
-            if lost.any():
-                logs = p * np.log(np.where(lost, tau, 1.0)) + np.log(abs(c))
-                values = np.where(lost, np.copysign(np.exp(logs), c), values)
+        elif scales_down:
+            lost = np.isinf(power)
+        else:
+            return values
+        if lost.any():
+            logs = p * np.log(np.where(lost, tau, 1.0)) + np.log(abs(c))
+            values = np.where(lost, np.copysign(np.exp(logs), c), values)
         return values
 
     if p == 0 or c == 0:
@@ -80,23 +88,3 @@ def power_integrand(coefficient: float, exponent: float) -> Integrand:
     else:
         monotone = INCREASING if c > 0 else DECREASING
     return Integrand(fn=fn, monotone=monotone, label=f"pow:{c:g}:{p:g}", power=(c, p))
-
-
-def bisect_monotone(fn, targets, lo: float, hi: float):
-    """Vectorized bisection: solve fn(x) = target for increasing fn on [lo, hi].
-
-    Halves every bracket together until all have closed or BISECTION_ITERATIONS
-    halvings are done, and returns the midpoints.
-    """
-    ys = np.asarray(targets, dtype=float)
-    los = np.full_like(ys, float(lo))
-    his = np.full_like(ys, float(hi))
-    for _ in range(BISECTION_ITERATIONS):
-        mid = 0.5 * (los + his)
-        below = evaluate(fn, mid) - ys < 0.0
-        los = np.where(below, mid, los)
-        his = np.where(below, his, mid)
-        if np.max(his - los) <= 0.0:
-            break
-    return 0.5 * (los + his)
-

@@ -59,7 +59,7 @@ def power_oracle(exponent: float, alpha: float, t: float, coefficient: float = 1
         raise DomainError(f"power exponent must be finite and >= 0, got {p!r}")
     alpha = validate_order(alpha, allow_zero=True)
     t = validate_horizon(t)
-    try:  # gamma past 171.6 raises DomainError, t**(p+alpha) past the largest double OverflowError
+    try:  # gamma past about 171.62 raises DomainError, t**(p+alpha) past the largest double OverflowError
         power = t ** (p + alpha)
         value = coefficient * gamma(p + 1.0) / gamma(p + 1.0 + alpha) * power
     except (DomainError, OverflowError):
@@ -216,9 +216,6 @@ def compose(
     inner = [0.0] + [op_inner.apply(f, x).value for x in nodes[1:].tolist()]
 
     spline = not_a_knot_spline(nodes, inner)
-    interpolant = Integrand(
-        fn=lambda x: spline(np.minimum(np.maximum(x, 0.0), t)),  # np.clip, minus its wrapper
-        monotone=UNKNOWN,
-        label=f"interp[{f.label}]",
-    )
+    # every abscissa an outer route evaluates is tau(u) or a partition point, in [0, t]
+    interpolant = Integrand(fn=spline, monotone=UNKNOWN, label=f"interp[{f.label}]")
     return op_outer.apply(interpolant, t).value

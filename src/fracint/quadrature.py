@@ -1,4 +1,5 @@
-"""Adaptive Gauss-Kronrod quadrature and generic Stieltjes/Cavalieri forms.
+"""Adaptive Gauss-Kronrod quadrature, generic Stieltjes/Cavalieri forms, and the
+vectorized bisection that inverts a Cavalieri region's integrator.
 
 The adaptive engine is a 15-point Kronrod rule with embedded 7-point Gauss
 estimate, interval bisection, and a hard evaluation budget.  Each bisection
@@ -16,11 +17,13 @@ from typing import Callable
 import numpy as np
 
 from .errors import BudgetExhaustedError, DomainError, NumericalError
-from .integrand import bisect_monotone, evaluate
+from .integrand import evaluate
 
 DEFAULT_ABS_TOL = 1e-10
 DEFAULT_REL_TOL = 1e-10
 DEFAULT_BUDGET = 10_000
+
+BISECTION_ITERATIONS = 100
 
 # 15-point Kronrod nodes on [-1, 1]; odd indices are the embedded Gauss-7 nodes.
 _KRONROD_NODES = np.array([
@@ -91,9 +94,9 @@ def _kronrod(fx, lo: float, hi: float):
     return resk, err
 
 
-def _panel(fn, lo: float, hi: float):
-    """One Kronrod-15 panel: returns (integral, error estimate)."""
-    return _kronrod(evaluate(fn, 0.5 * (lo + hi) + 0.5 * (hi - lo) * _KRONROD_NODES), lo, hi)
+def _nodes(lo: float, hi: float):
+    """The 15 Kronrod nodes of the panel [lo, hi]."""
+    return 0.5 * (lo + hi) + 0.5 * (hi - lo) * _KRONROD_NODES
 
 
 def adaptive_quadrature(
@@ -134,7 +137,7 @@ def adaptive_quadrature(
 
 def _refine(fn, lo: float, hi: float, abs_tol: float, rel_tol: float, budget: int):
     """adaptive_quadrature's bisection loop, on limits and settings it has checked."""
-    value, err = _panel(fn, lo, hi)
+    value, err = _kronrod(evaluate(fn, _nodes(lo, hi)), lo, hi)
     evaluations = 15
     # the panels, as parallel lists in the order they were made
     los, his, values, errors = [lo], [hi], [value], [err]
@@ -158,14 +161,11 @@ def _refine(fn, lo: float, hi: float, abs_tol: float, rel_tol: float, budget: in
                 error_estimate=total_err,
                 evaluations=evaluations,
             )
-        # both halves in one integrand call, their 30 nodes built in one broadcast
-        # with _panel's arithmetic; each half keeps its own 1-D dot products, since a
-        # batched X @ w rounded differently from np.dot(w, x) on 176 006 of 200 000
-        # random 15-vectors (OpenBLAS 0.3.31, Haswell kernel)
+        # both halves in one integrand call; each half keeps its own 1-D dot products,
+        # since a batched X @ w rounded differently from np.dot(w, x) on 176 006 of
+        # 200 000 random 15-vectors (OpenBLAS 0.3.31, Haswell kernel)
         mid = 0.5 * (s_lo + s_hi)
-        centers = np.array((0.5 * (s_lo + mid), 0.5 * (mid + s_hi)))
-        halves = np.array((0.5 * (mid - s_lo), 0.5 * (s_hi - mid)))
-        fx = evaluate(fn, (centers[:, None] + halves[:, None] * _KRONROD_NODES).ravel())
+        fx = evaluate(fn, np.concatenate((_nodes(s_lo, mid), _nodes(mid, s_hi))))
         left_value, left_err = _kronrod(fx[:15], s_lo, mid)
         right_value, right_err = _kronrod(fx[15:], mid, s_hi)
         evaluations += 30
@@ -186,6 +186,27 @@ def stieltjes_integral(f, g_prime, lower: float, upper: float) -> float:
 
     value, _, _ = adaptive_quadrature(weighted, lower, upper)
     return value
+
+
+def bisect_monotone(fn, targets, lo: float, hi: float):
+    """Vectorized bisection: solve fn(x) = target for increasing fn on [lo, hi].
+
+    Halves every bracket together until no midpoint lies strictly inside its
+    bracket, or BISECTION_ITERATIONS halvings are done, and returns the
+    midpoints.  A stalled bracket's midpoint is one of its ends, and further
+    halvings keep it there, so stopping returns the bits of every halving.
+    """
+    ys = np.asarray(targets, dtype=float)
+    los = np.full_like(ys, float(lo))
+    his = np.full_like(ys, float(hi))
+    for _ in range(BISECTION_ITERATIONS):
+        mid = 0.5 * (los + his)
+        if not np.any((los < mid) & (mid < his)):
+            return mid
+        below = evaluate(fn, mid) - ys < 0.0
+        los = np.where(below, mid, los)
+        his = np.where(below, his, mid)
+    return 0.5 * (los + his)
 
 
 @dataclass(frozen=True)

@@ -124,6 +124,12 @@ class TestGammaCommand:
         assert run(["gamma", "--x", "-171.7"]) == 0
         assert capsys.readouterr().out.strip() == "8.52725457277733e-311"
 
+    def test_largest_finite_values(self, capsys):
+        assert run(["gamma", "--x", "171.6243"]) == 0
+        assert capsys.readouterr().out == "1.79698185749571e+308\n"
+        assert run(["gamma", "--x", "171.7"]) == 2
+        assert capsys.readouterr().err == "fracint: gamma(171.7) overflows double precision\n"
+
 
 class TestTransformCommand:
     def test_blocks_and_endpoints(self, tmp_path):
@@ -180,6 +186,16 @@ class TestComputeCommand:
         row = rows_of(capsys.readouterr().out.strip().splitlines())[0]
         assert float(row["value"]) == pytest.approx(value, rel=1e-11)
         assert float(row["oracle"]) == pytest.approx(value, rel=1e-11)
+
+    @pytest.mark.parametrize("method", ("transformed", "direct", "stieltjes", "cavalieri"))
+    def test_an_overflowing_power_scaled_down_to_a_finite_value(self, method, capsys):
+        # 1e8**40 is past the largest double, and 1e-300 * 1e8**40 = 1e20 is not
+        assert run(["compute", "--f", "pow:1e-300:40", "--alpha", "0.5", "--t", "1e8",
+                    "--method", method]) == 0
+        row = rows_of(capsys.readouterr().out.strip().splitlines())[0]
+        tol = 1e-4 if method in ("stieltjes", "cavalieri") else 1e-9
+        assert float(row["rel_err"]) <= tol
+        assert float(row["value"]) == pytest.approx(1.5665061613128e23, rel=tol)
 
     def test_an_oracle_past_the_largest_double_exits_3(self, capsys):
         assert run(["compute", "--f", "pow:1e-300:3", "--alpha", "0.5", "--t", "1e200",

@@ -90,6 +90,21 @@ def test_recip_gamma_zeros_and_values():
     assert recip_gamma(200.0) == 0.0  # underflows instead of overflowing
 
 
+def test_gamma_up_to_the_largest_double():
+    # Gamma(171.6243) is 1.79698e308, below the largest double, and math.gamma decides
+    assert gamma(171.6243) == pytest.approx(float(mp_gamma(mpf(171.6243))), rel=2e-15)
+    for x in (171.7, 1e10):
+        with pytest.raises(DomainError, match="overflows"):
+            gamma(x)
+
+
+@pytest.mark.parametrize("x", (171.6243, 172.0, 175.0, 177.7, 178.0, 200.0))
+def test_recip_gamma_is_subnormal_past_the_overflow_of_gamma(x):
+    # 1/Gamma is a nonzero subnormal on about (171.62, 177.7], and 0.0 beyond
+    exact = float(1 / mp_gamma(mpf(x)))
+    assert abs(recip_gamma(x) - exact) <= 1e-13 * exact + 2.0**-1074
+
+
 def test_recip_times_gamma_is_one():
     for x in np.linspace(0.5, 20.0, 301):
         assert abs(recip_gamma(x) * gamma(x) - 1.0) <= 1e-11

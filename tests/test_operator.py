@@ -205,6 +205,15 @@ class TestPowerIntegrand:
         tol = 1e-4 if route in ("stieltjes", "cavalieri") else 1e-9
         assert abs(value - exact) <= tol * abs(exact)
 
+    @pytest.mark.parametrize("c", (1e-300, -1e-300))
+    @pytest.mark.parametrize("route", ("transformed", "direct", "stieltjes", "cavalieri"))
+    def test_an_overflowing_power_is_scaled_down_through_logarithms(self, route, c):
+        # tau**40 is inf for tau above about 5e7, though c * tau**40 is at most 1e20
+        value = FractionalOperator(0.5, route=route).apply(power_integrand(c, 40.0), 1e8).value
+        exact = power_oracle(40.0, 0.5, 1e8, c)
+        tol = 1e-4 if route in ("stieltjes", "cavalieri") else 1e-9
+        assert abs(value - exact) <= tol * abs(exact)
+
     def test_values_keep_the_bits_of_the_direct_product_where_the_power_is_normal(self):
         rng = np.random.default_rng(23)
         for _ in range(400):
@@ -215,15 +224,21 @@ class TestPowerIntegrand:
                 values = power_integrand(c, p).fn(tau)
                 power = tau**p
                 expected = c * power
-            normal = (power >= sys.float_info.min) | (tau == 0.0)
-            assert np.array_equal(values[normal].view(np.int64), expected[normal].view(np.int64))
-            if abs(c) <= 1.0:
-                assert np.array_equal(values.view(np.int64), expected.view(np.int64))
-                continue
-            for x, value in zip(tau[~normal], values[~normal]):
+            # the elements that go through logarithms: a power below the normal doubles
+            # when c scales up, and a power past the largest double when c scales down
+            if abs(c) > 1.0:
+                redone = (power < sys.float_info.min) & (tau > 0.0)
+            else:
+                redone = np.isinf(power) & (abs(c) < 1.0)
+            kept = ~redone
+            assert np.array_equal(values[kept].view(np.int64), expected[kept].view(np.int64))
+            for x, value in zip(tau[redone], values[redone]):
                 with mpmath.workdps(30):
                     exact = float(c * mpmath.mpf(x) ** p)
-                assert abs(value - exact) <= 1e-12 * max(abs(exact), sys.float_info.min)
+                if math.isinf(exact):
+                    assert value == exact
+                else:
+                    assert abs(value - exact) <= 1e-12 * max(abs(exact), sys.float_info.min)
 
     def test_a_scalar_array_is_scaled_up_too(self):
         value = power_integrand(-1e200, 40.0).fn(np.asarray(1e-9))
@@ -386,6 +401,27 @@ class TestCompose:
         composed = compose(FractionalOperator(alpha), FractionalOperator(beta), f, t, grid=256)
         direct = FractionalOperator(alpha + beta).apply(f, t).value
         assert abs(composed - direct) / abs(direct) <= 1e-4
+
+    @pytest.mark.parametrize("route", ("transformed", "direct", "cavalieri"))
+    @pytest.mark.parametrize("orders, t", [((0.3, 0.4), 1.0), ((0.5, 0.5), 7.0), ((0.05, 0.9), 1e-3)])
+    def test_the_outer_route_samples_the_interpolant_on_0_t(self, route, orders, t, monkeypatch):
+        # the interpolant clamps nothing: every abscissa it is handed lies in [0, t]
+        seen = []
+
+        def recording_spline(x, y):
+            spline = not_a_knot_spline(x, y)
+
+            def recorded(points):
+                seen.append(np.array(points))
+                return spline(points)
+
+            return recorded
+
+        monkeypatch.setattr(fracint.operator, "not_a_knot_spline", recording_spline)
+        alpha, beta = orders
+        compose(FractionalOperator(alpha, route, n=1000), FractionalOperator(beta), LINEAR, t)
+        points = np.concatenate(seen)
+        assert seen and points.min() >= 0.0 and points.max() <= t
 
     def test_rejects_excessive_total_order(self):
         with pytest.raises(DomainError):

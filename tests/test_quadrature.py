@@ -18,15 +18,16 @@ from fracint.engines import (
     transformed_riemann,
 )
 from fracint.errors import BudgetExhaustedError, DomainError, FracintError, NumericalError
-from fracint.integrand import BISECTION_ITERATIONS, Integrand, bisect_monotone, power_integrand
+from fracint.integrand import Integrand, evaluate, power_integrand
 from fracint.operator import FractionalOperator
-from fracint.integrand import evaluate
 from fracint.quadrature import (
     _GAUSS_WEIGHTS,
     _KRONROD_NODES,
     _KRONROD_WEIGHTS,
+    BISECTION_ITERATIONS,
     CavalieriRegion,
     adaptive_quadrature,
+    bisect_monotone,
     stieltjes_integral,
 )
 from fracint.transforms import make_transform
@@ -328,6 +329,7 @@ class TestCavalieriRegion:
         assert self.region.area() == pytest.approx(3.75, abs=1e-9)
 
     def test_corners_are_found_once(self):
+        # a repeated inverse runs its own bisection only, whose halvings the cap bounds
         calls = []
 
         def left(y):
@@ -336,9 +338,57 @@ class TestCavalieriRegion:
 
         region = CavalieriRegion(f=self.region.f, left=left, width=self.region.width)
         region.inverse(1.7)
-        calls.clear()
-        region.inverse(1.7)
-        assert len(calls) == BISECTION_ITERATIONS
+        costs = []
+        for x in (1.7, 1.7, 2.9):
+            calls.clear()
+            region.inverse(x)
+            costs.append(len(calls))
+        assert costs[0] == costs[1] and 0 < max(costs) <= BISECTION_ITERATIONS
+
+    @staticmethod
+    def _every_halving(fn, targets, lo, hi):
+        # the bisection with no stop: BISECTION_ITERATIONS halvings of every bracket
+        ys = np.asarray(targets, dtype=float)
+        los, his = np.full_like(ys, float(lo)), np.full_like(ys, float(hi))
+        for _ in range(BISECTION_ITERATIONS):
+            mid = 0.5 * (los + his)
+            below = evaluate(fn, mid) - ys < 0.0
+            los, his = np.where(below, mid, los), np.where(below, his, mid)
+        return 0.5 * (los + his)
+
+    @pytest.mark.parametrize("targets, lo, hi", [
+        ([1.0, 8.0], 0.0, 2.0),
+        ([-3.0, 7.5, 26.0], -2.0, 3.0),
+        ([5.0, 100.0], 0.0, 2.0),  # roots past the upper end
+        ([-1.0], 0.5, 2.0),  # a root below the lower end
+        ([1e-310, 4e-310], 0.0, 1e-100),  # subnormal targets
+        (2.0, 0.0, 2.0),
+    ])
+    def test_bisection_stops_once_its_brackets_close_with_every_halving_bits(self, targets, lo, hi):
+        calls = []
+
+        def cube(x):
+            calls.append(1)
+            return x ** 3
+
+        got = bisect_monotone(cube, targets, lo, hi)
+        expected = self._every_halving(lambda x: x ** 3, targets, lo, hi)
+        assert np.array_equal(np.asarray(got).view(np.int64), np.asarray(expected).view(np.int64))
+        assert type(got) is type(expected)
+        assert len(calls) < BISECTION_ITERATIONS
+
+    @pytest.mark.parametrize("targets, lo, hi", [([0.5], 0.0, 1e100), ([0.0, 1.0], -2.0, 3.0)])
+    def test_bisection_that_cannot_close_stops_at_the_cap(self, targets, lo, hi):
+        # a bracket from 1e100, or one closing on the root 0.0, needs hundreds of halvings
+        calls = []
+
+        def cube(x):
+            calls.append(1)
+            return x ** 3
+
+        got = bisect_monotone(cube, targets, lo, hi)
+        expected = self._every_halving(lambda x: x ** 3, targets, lo, hi)
+        assert np.array_equal(got, expected) and len(calls) == BISECTION_ITERATIONS
 
     def test_bisection_closes_its_brackets(self):
         # with no tolerance the brackets halve down to adjacent doubles around each root
