@@ -8,9 +8,10 @@ lists included, before any handler runs, so a malformed input exits 2 before
 any computation.  Each subcommand
 and each shared flag group is declared once, and a run builds only the parser
 of the subcommand it runs; an in-process ``main`` reuses a subcommand parser
-that an earlier call built.  An optional key=value config file replaces, for
-its own call only, the defaults of the settings flags its subcommand offers;
-explicit flags always win.  Every printed area is an
+that an earlier call built, and a built parser is never changed after it is
+built.  An optional key=value config file seeds the parse of its own call with
+values for the settings flags its subcommand offers; explicit flags always
+win.  Every printed area is an
 operator value: ``strips`` draws geometry only and offers no settings flags.
 """
 
@@ -48,7 +49,7 @@ from .transforms import make_transform
 DEFAULT_ALPHAS = "0,0.2,0.4,0.6,0.8,1"
 DEFAULT_HORIZONS = "2,4,6,8,10"
 
-# the flags, by dest, whose defaults a config file may replace
+# the flags, by dest, whose values a config file may seed
 SETTINGS = ("abs_tol", "rel_tol", "budget", "n", "tolerance")
 
 _TINY = 1e-300
@@ -96,7 +97,7 @@ def parse_sum_n(text: str) -> int:
 
 
 def load_config(path: str, parser: argparse.ArgumentParser) -> dict:
-    """Defaults for the settings flags of ``parser`` from key=value lines, cast by flag type."""
+    """Values for the settings flags of ``parser`` from key=value lines, cast by flag type."""
     actions = {a.dest: a for a in parser._actions if a.dest in SETTINGS}
     config = {}
     try:
@@ -386,7 +387,8 @@ class _SubcommandParsers(dict):
     Registered as ``add_parser`` would register each row, through argparse internals
     (CPython 3.11): the map the subparsers action looks a parsed name up in, and one
     ``_ChoicesPseudoAction`` per name holding its help line.  A parser built by an
-    earlier lookup is kept in ``_BUILT`` and returned again.
+    earlier lookup is kept in ``_BUILT`` and returned again; it is never changed
+    after it is built, so a run sees only the defaults the parser was built with.
     """
 
     def __init__(self, sub):
@@ -405,11 +407,7 @@ class _SubcommandParsers(dict):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """A fresh ``fracint`` parser; a parse looks up, and so builds once, its subcommand's parser.
-
-    Each subcommand parser adds its own actions for the groups it names, so a config
-    file's set_defaults on one subcommand reaches no other.
-    """
+    """A fresh ``fracint`` parser; a parse looks up, and so builds once, its subcommand's parser."""
     parser = argparse.ArgumentParser(
         prog="fracint",
         description="Order-alpha integrals by four named routes on two numerical cores, "
@@ -425,16 +423,12 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if getattr(args, "config", None):
-            # the subcommand parser outlives this call, so the file's defaults are
-            # restored once the reparse has read them
-            sub = args.parser
-            config = load_config(args.config, sub)
-            previous = {key: sub.get_default(key) for key in config}
-            sub.set_defaults(**config)
-            try:
-                args = parser.parse_args(argv)
-            finally:
-                sub.set_defaults(**previous)
+            # the file seeds a reparse of the subcommand's own tokens: argparse sets a
+            # default only where the namespace lacks the attribute, so explicit flags win
+            argv = sys.argv[1:] if argv is None else argv
+            rest = argv[argv.index(args.command) + 1:]
+            config = load_config(args.config, args.parser)
+            args = args.parser.parse_args(rest, argparse.Namespace(**config))
         # an overflow is refused by the check that meets it (_kronrod, QuadratureResult,
         # strips), so numpy's warning would only print before the fracint: line
         with np.errstate(over="ignore"):

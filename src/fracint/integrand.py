@@ -59,16 +59,18 @@ def power_integrand(coefficient: float, exponent: float) -> Integrand:
         raise DomainError(f"power integrand exponent must be >= 0, got {p:g}")
 
     scales_up = abs(c) > 1.0
-    scales_down = 0.0 < abs(c) < 1.0
+    scales_down = abs(c) < 1.0
+    log_c = np.log(abs(c)) if c else -np.inf  # so c = 0 redoes an element as exp(-inf) = 0
 
     def fn(tau):
         tau = np.asarray(tau, dtype=float)
         if scales_down:
-            with np.errstate(over="ignore"):  # an inf power is redone below
+            with np.errstate(over="ignore", invalid="ignore"):  # inf, and 0 * inf, are redone below
                 power = tau**p
+                values = c * power
         else:
             power = tau**p
-        values = c * power
+            values = c * power
         # the elements whose tau**p lost digits before c scales it go through logarithms:
         # below the normal range when c scales up, where the logarithms cannot overflow,
         # and past the largest double when c scales down, where exp warns if c*tau**p does
@@ -79,7 +81,7 @@ def power_integrand(coefficient: float, exponent: float) -> Integrand:
         else:
             return values
         if lost.any():
-            logs = p * np.log(np.where(lost, tau, 1.0)) + np.log(abs(c))
+            logs = p * np.log(np.where(lost, tau, 1.0)) + log_c
             values = np.where(lost, np.copysign(np.exp(logs), c), values)
         return values
 

@@ -57,7 +57,7 @@ def power_oracle(exponent: float, alpha: float, t: float, coefficient: float = 1
     p = float(exponent)
     if not math.isfinite(p) or p < 0:
         raise DomainError(f"power exponent must be finite and >= 0, got {p!r}")
-    alpha = validate_order(alpha, allow_zero=True)
+    alpha = validate_order(alpha)
     t = validate_horizon(t)
     try:  # gamma past about 171.62 raises DomainError, t**(p+alpha) past the largest double OverflowError
         power = t ** (p + alpha)
@@ -94,7 +94,7 @@ class FractionalOperator:
     n: int = DEFAULT_SUM_N  # partition size for the sum routes
 
     def __post_init__(self):
-        validate_order(self.alpha, allow_zero=True)
+        validate_order(self.alpha)
         if self.route not in METHODS:
             raise DomainError(f"unknown route {self.route!r}; choose one of {METHODS}")
 

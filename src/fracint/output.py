@@ -10,6 +10,7 @@ one ``%`` operation.
 import json
 import os
 import sys
+from contextlib import ExitStack
 
 import numpy as np
 
@@ -63,13 +64,14 @@ def write_texts(*outputs) -> None:
     Every file is opened before the first write, so a path that cannot be written
     writes nothing; it is an input error.
     """
-    handles = []
-    try:
+    with ExitStack() as stack:
+        handles = []
         for path, _ in outputs:
             try:
                 # not "w": ext4 flushes a file truncated to 0 on close, so only a
                 # non-empty one is emptied, below
-                handles.append(None if path is None else open(path, "a", newline=""))
+                handles.append(None if path is None else stack.enter_context(
+                    open(path, "a", newline="")))
             except OSError as exc:
                 raise _unwritable(path, exc) from None
         for handle, (path, text) in zip(handles, outputs):
@@ -83,10 +85,6 @@ def write_texts(*outputs) -> None:
                     handle.write(text)
             except OSError as exc:
                 raise _unwritable(path, exc) from None
-    finally:
-        for handle in handles:
-            if handle is not None:
-                handle.close()
 
 
 def write_text(path, text) -> None:

@@ -131,7 +131,7 @@ def region_family(
 
     Each region's area is FractionalOperator(alpha).apply(f, t).value.
     """
-    alphas = [validate_order(a, allow_zero=True) for a in np.atleast_1d(alphas)]
+    alphas = [validate_order(a) for a in np.atleast_1d(alphas)]
     horizons = [validate_horizon(t) for t in np.atleast_1d(horizons)]
     if not alphas or not horizons:
         raise DomainError("need at least one order and one horizon")

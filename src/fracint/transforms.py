@@ -31,16 +31,12 @@ from .errors import DomainError
 from .gamma import gamma
 
 
-def validate_order(alpha: float, allow_zero: bool = False) -> float:
+def validate_order(alpha: float) -> float:
     alpha = float(alpha)
     if not math.isfinite(alpha):
         raise DomainError(f"order must be finite, got {alpha!r}")
-    if alpha == 0.0:
-        if allow_zero:
-            return alpha
-        raise DomainError("order 0 is the identity operator; use the identity path")
-    if not 0.0 < alpha <= 1.0:
-        raise DomainError(f"order must lie in (0, 1], got {alpha:g}")
+    if not 0.0 <= alpha <= 1.0:
+        raise DomainError(f"order must lie in [0, 1], got {alpha:g}")
     return alpha
 
 
@@ -58,6 +54,8 @@ class TransformPair:
 
     def __init__(self, alpha: float, t: float):
         self.alpha = validate_order(alpha)
+        if self.alpha == 0.0:
+            raise DomainError("order 0 is the identity operator; use the identity path")
         self.t = validate_horizon(t)
         self.gamma_alpha_plus_one = gamma(self.alpha + 1.0)
         # Total image width t**alpha / Gamma(alpha + 1); also the constant

@@ -187,15 +187,23 @@ class TestComputeCommand:
         assert float(row["value"]) == pytest.approx(value, rel=1e-11)
         assert float(row["oracle"]) == pytest.approx(value, rel=1e-11)
 
-    @pytest.mark.parametrize("method", ("transformed", "direct", "stieltjes", "cavalieri"))
-    def test_an_overflowing_power_scaled_down_to_a_finite_value(self, method, capsys):
-        # 1e8**40 is past the largest double, and 1e-300 * 1e8**40 = 1e20 is not
-        assert run(["compute", "--f", "pow:1e-300:40", "--alpha", "0.5", "--t", "1e8",
+    # the ids of the c = 1e-300 cases name the method alone
+    @pytest.mark.parametrize("method, c, exact", [
+        pytest.param(method, c, exact, id=method if c != "0" else f"{method}-0")
+        for c, exact in (("1e-300", 1.5665061613128e23), ("0", 0.0))
+        for method in ("transformed", "direct", "stieltjes", "cavalieri")
+    ])
+    def test_an_overflowing_power_scaled_down_to_a_finite_value(self, method, c, exact, capsys):
+        # 1e8**40 is past the largest double, and 1e-300 * 1e8**40 = 1e20 is not; nor is
+        # 0 * 1e8**40, which is 0 rather than the nan of 0 * inf
+        assert run(["compute", "--f", f"pow:{c}:40", "--alpha", "0.5", "--t", "1e8",
                     "--method", method]) == 0
-        row = rows_of(capsys.readouterr().out.strip().splitlines())[0]
+        out, err = capsys.readouterr()
+        row = rows_of(out.strip().splitlines())[0]
         tol = 1e-4 if method in ("stieltjes", "cavalieri") else 1e-9
         assert float(row["rel_err"]) <= tol
-        assert float(row["value"]) == pytest.approx(1.5665061613128e23, rel=tol)
+        assert float(row["value"]) == pytest.approx(exact, rel=tol)
+        assert err == ""
 
     def test_an_oracle_past_the_largest_double_exits_3(self, capsys):
         assert run(["compute", "--f", "pow:1e-300:3", "--alpha", "0.5", "--t", "1e200",

@@ -205,10 +205,11 @@ class TestPowerIntegrand:
         tol = 1e-4 if route in ("stieltjes", "cavalieri") else 1e-9
         assert abs(value - exact) <= tol * abs(exact)
 
-    @pytest.mark.parametrize("c", (1e-300, -1e-300))
+    @pytest.mark.parametrize("c", (1e-300, -1e-300, 0.0))
     @pytest.mark.parametrize("route", ("transformed", "direct", "stieltjes", "cavalieri"))
     def test_an_overflowing_power_is_scaled_down_through_logarithms(self, route, c):
-        # tau**40 is inf for tau above about 5e7, though c * tau**40 is at most 1e20
+        # tau**40 is inf for tau above about 5e7, though c * tau**40 is at most 1e20,
+        # and 0 where c = 0
         value = FractionalOperator(0.5, route=route).apply(power_integrand(c, 40.0), 1e8).value
         exact = power_oracle(40.0, 0.5, 1e8, c)
         tol = 1e-4 if route in ("stieltjes", "cavalieri") else 1e-9

@@ -8,6 +8,7 @@ This pins the argparse internals the lazy registration relies on.
 """
 
 import argparse
+import json
 
 import pytest
 
@@ -62,29 +63,26 @@ def digest(namespace):
 def outcome(build, argv, monkeypatch, capsys):
     """stdout, stderr, exit code and parsed namespaces of ``cli.main(argv)`` with ``build``.
 
-    The handler of every parsed namespace is replaced by one that does nothing, so
-    only the parse runs, the --config reparse included.
+    The handler of every namespace any parser returns is replaced by one that does
+    nothing, so only the parse runs, the subcommand parser's --config reparse
+    included.  Both stubs are undone before this returns.
     """
     namespaces = []
+    parse = argparse.ArgumentParser.parse_args
 
-    def recording_build():
-        parser = build()
-        parse = parser.parse_args
+    def parse_args(self, args=None, namespace=None):
+        namespace = parse(self, args, namespace)
+        namespaces.append(digest(namespace))
+        namespace.handler = lambda args: None
+        return namespace
 
-        def parse_args(args=None):
-            namespace = parse(args)
-            namespaces.append(digest(namespace))
-            namespace.handler = lambda args: None
-            return namespace
-
-        parser.parse_args = parse_args
-        return parser
-
-    monkeypatch.setattr(cli, "build_parser", recording_build)
-    try:
-        code = cli.main(argv)
-    except SystemExit as exc:
-        code = exc.code
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "build_parser", build)
+        patch.setattr(argparse.ArgumentParser, "parse_args", parse_args)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
     out, err = capsys.readouterr()
     return out, err, code, namespaces
 
@@ -172,6 +170,35 @@ def test_a_second_identical_run_builds_only_the_top_level_parser(built, tmp_path
     assert cli.main(argv) == 0
     assert built == ["fracint"]
     assert out.read_bytes() == first
+
+
+def test_a_config_run_never_changes_the_subcommand_parser(tmp_path, monkeypatch):
+    """The file seeds the parse: the reused compare parser keeps its built-in
+    tolerance default through every parse of a --config run and while its handler,
+    which got the file's value, runs."""
+    config = tmp_path / "fracint.conf"
+    config.write_text("tolerance = 0.25\n")
+    seen = []
+
+    def default():
+        return cli._BUILT["compare"].get_default("tolerance") if "compare" in cli._BUILT else None
+
+    parse = argparse.ArgumentParser.parse_known_args
+
+    def parse_known_args(self, *args, **kwargs):
+        seen.append(("parse", default()))
+        return parse(self, *args, **kwargs)
+
+    def write_text(path, text):
+        seen.append(("handler", default(), json.loads(text)["tolerance"]))
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", parse_known_args)
+    monkeypatch.setattr(cli, "write_text", write_text)
+    assert cli.main(["compare", "--alpha", "0.5", "--t", "1", "--n", "10",
+                     "--config", str(config)]) == 0
+    assert seen[-1] == ("handler", 1e-3, 0.25)
+    assert {value for _, value, *_ in seen} <= {None, 1e-3}
+    assert len(seen) >= 4  # the top-level parse, its subcommand parse, the reparse, the handler
 
 
 @pytest.mark.parametrize("config_first", [True, False], ids=["config-first", "plain-first"])

@@ -20,12 +20,13 @@ LINEAR = power_integrand(1.0, 1.0)
 
 def test_order_validation():
     assert validate_order(0.7) == 0.7
-    assert validate_order(0.0, allow_zero=True) == 0.0
+    assert validate_order(0.0) == 0.0
     for bad in (-0.1, 1.5, float("nan")):
         with pytest.raises(DomainError):
             validate_order(bad)
-    with pytest.raises(DomainError):
-        validate_order(0.0)
+    # order 0 is the identity, which has no transform pair
+    with pytest.raises(DomainError, match="identity"):
+        make_transform(0.0, 1.0)
 
 
 def test_horizon_validation():
