@@ -104,7 +104,9 @@ def _strip_sum(f, pair, n, method) -> QuadratureResult:
     """Left-endpoint strip sum: the total of strip_areas(f(x2_i), width, n).
 
     The error estimate compares it with the sum over every second strip at
-    twice the width (the last strip once when n is odd).
+    twice the width (the last strip once when n is odd).  A zero total of zero
+    areas is refused if the heights' total times the strip width is not 0.0:
+    every area underflowed, though the sum has a nearest non-zero double.
     """
     n = int(n)
     # the partition is this sum's own buffer: each block of it is overwritten by its
@@ -117,7 +119,27 @@ def _strip_sum(f, pair, n, method) -> QuadratureResult:
             strip_areas(evaluate(f, block), pair.width, n, out=block)
         value = float(np.sum(areas))
         coarse = 2.0 * float(np.sum(areas[::2])) - (float(areas[-1]) if n % 2 else 0.0)
+        if value == 0.0 and not areas.any():
+            del areas, block  # the check makes its own partition; one is alive at a time
+            _refuse_underflowed_areas(f, pair, n, method)
     return QuadratureResult(value, abs(value - coarse) if n > 1 else abs(value), method, n)
+
+
+def _refuse_underflowed_areas(f, pair, n, method):
+    """Raise NumericalError unless the heights' total, taken as one strip area, is 0.0.
+
+    ``_strip_sum`` calls this when every area is 0.0.  That one area is 0.0
+    where f is 0 on the partition, or where the sum lies below the smallest
+    double, whose nearest double is then 0.0.
+    """
+    heights = make_partition(pair, n)[:-1]
+    total = 0.0
+    for start in range(0, n, _BLOCK):
+        total += float(np.sum(evaluate(f, heights[start:start + _BLOCK])))
+    lost = float(strip_areas(total, pair.width, n))
+    if lost != 0.0:
+        raise NumericalError(f"every {method} strip area underflows to 0, "
+                             f"though their total is about {lost:.3g}")
 
 
 def direct_rl(

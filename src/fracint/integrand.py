@@ -58,12 +58,15 @@ def power_integrand(coefficient: float, exponent: float) -> Integrand:
     if p < 0:
         raise DomainError(f"power integrand exponent must be >= 0, got {p:g}")
 
+    unit = c == 1.0  # 1.0 * x is x for every double, -0.0, inf and nan included
     scales_up = abs(c) > 1.0
     scales_down = abs(c) < 1.0
     log_c = np.log(abs(c)) if c else -np.inf  # so c = 0 redoes an element as exp(-inf) = 0
 
     def fn(tau):
         tau = np.asarray(tau, dtype=float)
+        if unit:
+            return tau**p
         if scales_down:
             with np.errstate(over="ignore", invalid="ignore"):  # inf, and 0 * inf, are redone below
                 power = tau**p

@@ -30,6 +30,9 @@ import numpy as np
 from .errors import DomainError
 from .gamma import gamma
 
+# tau's floor as a 0-d float64, so numpy converts no Python float on each call
+_ZERO = np.zeros(())
+
 
 def validate_order(alpha: float) -> float:
     alpha = float(alpha)
@@ -50,13 +53,15 @@ def validate_horizon(t: float) -> float:
 class TransformPair:
     """Immutable forward/inverse transform bound to a fixed (alpha, t)."""
 
-    __slots__ = ("alpha", "t", "gamma_alpha_plus_one", "width")
+    __slots__ = ("alpha", "t", "gamma_alpha_plus_one", "width", "_t0")
 
     def __init__(self, alpha: float, t: float):
         self.alpha = validate_order(alpha)
         if self.alpha == 0.0:
             raise DomainError("order 0 is the identity operator; use the identity path")
         self.t = validate_horizon(t)
+        # t as a 0-d float64 for tau; self.t stays the Python float its readers format
+        self._t0 = np.array(self.t)
         self.gamma_alpha_plus_one = gamma(self.alpha + 1.0)
         # Total image width t**alpha / Gamma(alpha + 1); also the constant
         # horizontal offset between the strip boundary curves.
@@ -82,13 +87,14 @@ class TransformPair:
         """
         if out is None:
             # u is not wrapped in np.asarray, whose 0-d pow rounds a scalar u differently
-            return np.maximum(self.t - u ** (1.0 / self.alpha), 0.0)
+            # the exponent stays a Python float: a 0-d one changes the bits of pow
+            return np.maximum(self._t0 - u ** (1.0 / self.alpha), _ZERO)
         if out is not u:
             out[...] = u
         # **= takes the same scalar-exponent fast paths (square for 2, copy for 1) as **
         out **= 1.0 / self.alpha
-        np.subtract(self.t, out, out=out)
-        return np.maximum(out, 0.0, out=out)
+        np.subtract(self._t0, out, out=out)
+        return np.maximum(out, _ZERO, out=out)
 
     def inverse(self, x, out=None):
         """h(x) on [0, t**alpha / Gamma(alpha + 1)]; inverse of forward.

@@ -241,6 +241,29 @@ class TestPowerIntegrand:
                 else:
                     assert abs(value - exact) <= 1e-12 * max(abs(exact), sys.float_info.min)
 
+    @pytest.mark.parametrize("c", (1.0, -1.0, 0.5, 3.0))
+    @pytest.mark.parametrize("p", (0.0, 0.5, 1.0, 2.0, 2.7))
+    def test_values_are_c_times_the_power_bit_for_bit(self, c, p):
+        # type, shape and bytes of c * x**p, for an array and for each 0-d value, at every
+        # x whose power no logarithm path redoes; a unit c is never redone
+        xs = np.concatenate(([0.0, 5e-324, 1e-150, 1e150],
+                             10.0 ** np.random.default_rng(29).uniform(-320.0, 300.0, size=60)))
+        with np.errstate(over="ignore"):
+            power = xs**p
+        if abs(c) > 1.0:
+            redone = (power < sys.float_info.min) & (xs > 0.0)
+        else:
+            redone = np.isinf(power) & (abs(c) < 1.0)
+        kept = xs[~redone]
+        assert kept.size >= 40 and 0.0 in kept
+        fn = power_integrand(c, p).fn
+        with np.errstate(over="ignore"):
+            for x, expected in [(kept, c * kept**p)] + [
+                    (np.asarray(v), c * np.asarray(v) ** p) for v in kept]:
+                value = fn(x)
+                assert type(value) is type(expected) and np.shape(value) == np.shape(expected)
+                assert np.asarray(value).tobytes() == np.asarray(expected).tobytes(), (x, value)
+
     def test_a_scalar_array_is_scaled_up_too(self):
         value = power_integrand(-1e200, 40.0).fn(np.asarray(1e-9))
         assert value.shape == () and value == pytest.approx(-1e-160, rel=1e-13)
@@ -294,6 +317,20 @@ class TestApply:
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(NumericalError, match=f"non-finite {route} result"):
                 FractionalOperator(0.5, route=route).apply(power_integrand(1e308, 2.0), 10.0)
+
+    @pytest.mark.parametrize("route", ("stieltjes", "cavalieri"))
+    def test_sums_refuse_a_value_lost_to_underflowing_areas(self, route):
+        # each f(x2_i) * width/n is below the smallest double, though the value is the
+        # 3.31e-321 the adaptive routes and the oracle return
+        op = FractionalOperator(0.05, route=route)
+        with pytest.raises(NumericalError, match=f"every {route} strip area underflows to 0, "
+                           r"though their total is about 3\.31e-321"):
+            op.apply(power_integrand(1.0, 40.0), 1e-8)
+
+    @pytest.mark.parametrize("route", ("direct", "transformed", "stieltjes", "cavalieri"))
+    def test_a_zero_integrand_integrates_to_zero(self, route):
+        result = FractionalOperator(0.5, route=route).apply(Integrand(fn=np.zeros_like), 1e8)
+        assert (result.value, result.error_estimate) == (0.0, 0.0)
 
     @pytest.mark.parametrize("route", ("direct", "transformed"))
     def test_adaptive_routes_turn_a_raised_warning_into_a_numerical_failure(self, route):

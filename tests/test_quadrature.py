@@ -786,6 +786,18 @@ class TestStripSumAllocations:
         stieltjes_sum(f, pair, self.N)
         assert peak_bytes(lambda: stieltjes_sum(f, pair, self.N)) <= 1.25 * self.ARRAY
 
+    def test_a_sum_of_underflowed_areas_holds_one_partition_at_a_time(self):
+        # every area underflows, so f is evaluated again on a second partition
+        pair = make_transform(0.05, 1e-8)
+        f = power_integrand(1.0, 40.0)
+
+        def refused():
+            with pytest.raises(NumericalError, match="underflows"):
+                stieltjes_sum(f, pair, self.N)
+
+        refused()
+        assert peak_bytes(refused) <= 1.25 * self.ARRAY
+
     def test_a_partition_is_computed_in_its_own_buffer(self):
         pair = make_transform(0.5, 3.0)
         make_partition(pair, self.N)
