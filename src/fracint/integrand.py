@@ -20,7 +20,7 @@ class Integrand:
     ``fn`` maps a float64 array to one value per element (:func:`evaluate` raises
     DomainError on any other shape); a scalar-only g needs one wrap,
     ``np.vectorize(g, otypes=[float])``.  A route may call it on any subset of
-    abscissae: the 15 or 30 Kronrod nodes of an adaptive step, or one block of a
+    abscissae: the 21 or 42 Kronrod nodes of an adaptive step, or one block of a
     strip sum's partition.  ``power`` carries
     ``(coefficient, exponent)`` when the function is c*tau**p, which unlocks the
     closed-form route.

@@ -13,9 +13,11 @@ import fracint
 from fracint import cli, engines
 from fracint.cli import main
 from fracint.operator import DEFAULT_COMPOSE_GRID, DEFAULT_SUM_N
-from fracint.quadrature import DEFAULT_ABS_TOL, DEFAULT_BUDGET, DEFAULT_REL_TOL
+from fracint.quadrature import _KRONROD_NODES, DEFAULT_ABS_TOL, DEFAULT_BUDGET, DEFAULT_REL_TOL
 
 from _reference import FOUR_OVER_3SQRTPI
+
+PANEL = _KRONROD_NODES.size  # evaluations of one Kronrod panel
 
 
 # (p, t) of power integrands with small exponents; the ids of the t = 2 cases name p alone
@@ -396,8 +398,8 @@ class TestRegionsCommand:
         assert parts == {"f", "edge"}
 
     def test_budget_reaches_the_areas(self, capsys):
-        assert run(["regions", "--budget", "15"]) == 3
-        assert "budget 15 exhausted" in capsys.readouterr().err
+        assert run(["regions", "--budget", str(PANEL)]) == 3
+        assert f"budget {PANEL} exhausted" in capsys.readouterr().err
 
     @pytest.mark.parametrize("samples", ("-1", "0", "1"))
     def test_identity_order_with_too_few_samples_exits_2(self, samples, capsys):
@@ -462,8 +464,8 @@ class TestCurvesCommand:
 
     def test_budget_reaches_the_markers(self, capsys):
         # the default oracle route ignores the budget; the marker areas use it
-        assert run(["curves", "--budget", "15"]) == 3
-        assert "budget 15 exhausted" in capsys.readouterr().err
+        assert run(["curves", "--budget", str(PANEL)]) == 3
+        assert f"budget {PANEL} exhausted" in capsys.readouterr().err
 
     def test_markers_need_no_strip_geometry(self, capsys):
         # a constant has no strip region, yet its order-alpha integral is defined

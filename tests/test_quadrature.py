@@ -19,7 +19,7 @@ from fracint.engines import (
 )
 from fracint.errors import BudgetExhaustedError, DomainError, FracintError, NumericalError
 from fracint.integrand import Integrand, evaluate, power_integrand
-from fracint.operator import FractionalOperator
+from fracint.operator import FractionalOperator, power_oracle
 from fracint.quadrature import (
     _GAUSS_WEIGHTS,
     _KRONROD_NODES,
@@ -46,6 +46,7 @@ LINEAR = power_integrand(1.0, 1.0)
 SQRT = power_integrand(1.0, 0.5)
 SQUARE = power_integrand(1.0, 2.0)
 CONST = power_integrand(1.0, 0.0)
+PANEL = _KRONROD_NODES.size  # evaluations of one Kronrod panel
 
 
 class TestAdaptiveEngine:
@@ -53,7 +54,7 @@ class TestAdaptiveEngine:
         value, err, evals = adaptive_quadrature(lambda x: x**7, 0.0, 1.0)
         assert value == pytest.approx(0.125, rel=1e-14)
         assert err <= 1e-12
-        assert evals == 15
+        assert evals == PANEL
 
     def test_error_estimate_brackets_true_error(self):
         value, err, _ = adaptive_quadrature(np.exp, 0.0, 3.0)
@@ -91,7 +92,7 @@ class TestAdaptiveEngine:
         exc = info.value
         assert exc.value == pytest.approx(2.0 / 3.0, rel=1e-3)
         assert exc.error_estimate > 0
-        assert 15 <= exc.evaluations <= 64
+        assert PANEL <= exc.evaluations <= 64
 
     def test_non_finite_integrand_is_a_numerical_failure(self):
         nan = Integrand(fn=lambda x: np.full_like(x, np.nan), label="nan")
@@ -107,7 +108,7 @@ class TestAdaptiveEngine:
 
         with pytest.raises(NumericalError):
             adaptive_quadrature(infinite, 0.0, 1.0)
-        assert calls == [15]  # raised on the first panel, without bisecting
+        assert calls == [PANEL]  # raised on the first panel, without bisecting
 
     @pytest.mark.parametrize("abs_tol, rel_tol", ((np.nan, 1e-10), (1e-10, np.nan), (-1.0, -1.0)))
     def test_unmeetable_tolerances_rejected(self, abs_tol, rel_tol):
@@ -115,17 +116,54 @@ class TestAdaptiveEngine:
             adaptive_quadrature(np.exp, 0.0, 1.0, abs_tol, rel_tol)
 
     def test_zero_and_infinite_tolerances_accepted(self):
-        assert adaptive_quadrature(np.exp, 0.0, 1.0, 0.0, np.inf)[2] == 15
-        assert adaptive_quadrature(np.exp, 0.0, 1.0, np.inf, 0.0)[2] == 15
+        assert adaptive_quadrature(np.exp, 0.0, 1.0, 0.0, np.inf)[2] == PANEL
+        assert adaptive_quadrature(np.exp, 0.0, 1.0, np.inf, 0.0)[2] == PANEL
 
     def test_deterministic(self):
         first = adaptive_quadrature(lambda x: np.sin(x) / (1 + x), 0.0, 5.0)
         second = adaptive_quadrature(lambda x: np.sin(x) / (1 + x), 0.0, 5.0)
         assert first == second
 
+    @pytest.mark.parametrize("route", ("transformed", "direct"))
+    def test_first_panel_case_meets_its_tolerance(self, route):
+        # alpha = 0.6, p = 1.7294, t = 2: a 15-point Kronrod rule accepts its first panel
+        # here with an error of 1.1e-8, 38 times the requested 2.9e-10; the bound is the
+        # benchmark's, 10 * max(abs_tol, rel_tol * |value|) at the default tolerances
+        result = FractionalOperator(0.6, route).apply(power_integrand(1.0, 1.7294), 2.0)
+        exact = power_oracle(1.7294, 0.6, 2.0)
+        assert abs(result.value - exact) <= 10.0 * max(1e-10, 1e-10 * abs(exact))
+
+
+class TestNodeTable:
+    """The node table is QUADPACK's Gauss-10 / Kronrod-21 pair on [-1, 1]."""
+
+    def test_gauss_nodes_and_weights_are_legendre_gauss_10(self):
+        nodes, weights = np.polynomial.legendre.leggauss(10)
+        assert np.max(np.abs(_KRONROD_NODES[1::2] - nodes)) <= 4e-16
+        assert np.max(np.abs(_GAUSS_WEIGHTS - weights)) <= 4e-16
+
+    @pytest.mark.parametrize("rule, nodes, weights, degree", [
+        ("kronrod-21", _KRONROD_NODES, _KRONROD_WEIGHTS, 31),
+        ("gauss-10", _KRONROD_NODES[1::2], _GAUSS_WEIGHTS, 19),
+    ], ids=("kronrod-21", "gauss-10"))
+    def test_monomials_are_integrated_exactly(self, rule, nodes, weights, degree):
+        for d in range(degree + 1):
+            exact = 2.0 / (d + 1) if d % 2 == 0 else 0.0
+            assert abs(float(weights.dot(nodes**d)) - exact) <= 1e-15, (rule, d)
+
+    def test_nodes_are_symmetric_and_increasing_and_weights_sum_to_two(self):
+        assert PANEL == 21 and _GAUSS_WEIGHTS.size == 10
+        assert np.array_equal(_KRONROD_NODES, -_KRONROD_NODES[::-1])
+        assert np.all(np.diff(_KRONROD_NODES) > 0.0)
+        assert -1.0 < _KRONROD_NODES[0] and _KRONROD_NODES[-1] < 1.0
+        assert np.array_equal(_KRONROD_WEIGHTS, _KRONROD_WEIGHTS[::-1])
+        assert np.array_equal(_GAUSS_WEIGHTS, _GAUSS_WEIGHTS[::-1])
+        assert math.fsum(_KRONROD_WEIGHTS) == pytest.approx(2.0, abs=4e-16)
+        assert math.fsum(_GAUSS_WEIGHTS) == pytest.approx(2.0, abs=4e-16)
+
 
 def _reference_panel(fn, lo, hi):
-    """The Kronrod-15 panel as it was before bisection evaluated both halves at once."""
+    """The Kronrod panel as it was before bisection evaluated both halves at once."""
     center = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     x = center + half * _KRONROD_NODES
@@ -145,7 +183,7 @@ def _reference_panel(fn, lo, hi):
 def _reference_quadrature(fn, lo, hi, abs_tol=1e-10, rel_tol=1e-10, budget=10_000):
     """The adaptive loop as it was: one panel per call, a full scan per split."""
     value, err = _reference_panel(fn, lo, hi)
-    evaluations = 15
+    evaluations = PANEL
     segments = [(lo, hi, value, err)]
     min_width = 1e-15 * (hi - lo)
 
@@ -158,7 +196,7 @@ def _reference_quadrature(fn, lo, hi, abs_tol=1e-10, rel_tol=1e-10, budget=10_00
         s_lo, s_hi, _, s_err = segments[worst]
         if s_hi - s_lo <= min_width:
             return total, total_err, evaluations
-        if evaluations + 30 > budget:
+        if evaluations + 2 * PANEL > budget:
             raise BudgetExhaustedError(
                 f"evaluation budget {budget} exhausted (error estimate {total_err:.3e})",
                 value=total,
@@ -168,7 +206,7 @@ def _reference_quadrature(fn, lo, hi, abs_tol=1e-10, rel_tol=1e-10, budget=10_00
         mid = 0.5 * (s_lo + s_hi)
         left = _reference_panel(fn, s_lo, mid)
         right = _reference_panel(fn, mid, s_hi)
-        evaluations += 30
+        evaluations += 2 * PANEL
         segments[worst] = (s_lo, mid, left[0], left[1])
         segments.append((mid, s_hi, right[0], right[1]))
 
@@ -204,7 +242,7 @@ class TestExactRefinement:
 
         got = adaptive_quadrature(composed, 0.0, t**alpha)
         assert got == _reference_quadrature(composed, 0.0, t**alpha)
-        assert (got[2] == 15) == one_panel
+        assert (got[2] == PANEL) == one_panel
 
     def test_same_budget_exhaustion_as_the_reference(self):
         with pytest.raises(BudgetExhaustedError) as new:
@@ -223,10 +261,10 @@ class TestExactRefinement:
             return np.sqrt(x)
 
         _, _, evaluations = adaptive_quadrature(counting, 0.0, 1.0)
-        assert evaluations > 15
-        assert len(calls) == 1 + (evaluations - 15) // 30
-        assert calls[0] == 15
-        assert all(n == 30 for n in calls[1:])
+        assert evaluations > PANEL
+        assert len(calls) == 1 + (evaluations - PANEL) // (2 * PANEL)
+        assert calls[0] == PANEL
+        assert all(n == 2 * PANEL for n in calls[1:])
 
     def test_non_finite_right_half_is_named(self):
         calls = []
@@ -240,7 +278,7 @@ class TestExactRefinement:
 
         with pytest.raises(NumericalError, match=r"panel \[0\.5, 1\]"):
             adaptive_quadrature(nan_right_of_first_split, 0.0, 1.0)
-        assert calls == [15, 30]
+        assert calls == [PANEL, 2 * PANEL]
 
 
 def _reference_adaptive_core(f, pair, budget, abs_tol, rel_tol, method) -> QuadratureResult:
