@@ -39,12 +39,18 @@ METHODS = ROUTES + ("oracle",)
 _BLOCK = 8192
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class QuadratureResult:
     """Value plus the bookkeeping needed to compare routes.
 
     Raises NumericalError unless the value and its error estimate are finite,
     so no route returns an overflowed total.
+
+    Only ``__init__`` is written by hand, since every adaptive ``apply`` builds
+    one: it checks its arguments and then writes the instance ``__dict__`` once,
+    where the generated one sets each field through ``object.__setattr__`` and
+    then checks them.  The frozen fields, ``==``, ``hash``, ``repr`` and
+    ``dataclasses.replace``, which calls ``__init__``, are the dataclass's own.
     """
 
     value: float
@@ -52,18 +58,20 @@ class QuadratureResult:
     method: str
     evaluations: int
 
-    def __post_init__(self):
-        if self.method not in METHODS:
-            raise DomainError(f"unknown method {self.method!r}")
-        if not (math.isfinite(self.value) and math.isfinite(self.error_estimate)):
+    def __init__(self, value: float, error_estimate: float, method: str, evaluations: int):
+        if method not in METHODS:
+            raise DomainError(f"unknown method {method!r}")
+        if not (math.isfinite(value) and math.isfinite(error_estimate)):
             raise NumericalError(
-                f"non-finite {self.method} result {self.value!r} "
-                f"(error estimate {self.error_estimate!r})"
+                f"non-finite {method} result {value!r} (error estimate {error_estimate!r})"
             )
-        if self.error_estimate < 0:
+        if error_estimate < 0:
             raise DomainError("error estimate must be >= 0")
-        if self.evaluations <= 0:
+        if evaluations <= 0:
             raise DomainError("evaluation count must be positive")
+        self.__dict__.update(
+            value=value, error_estimate=error_estimate, method=method, evaluations=evaluations
+        )
 
 
 def make_partition(pair: TransformPair, n: int) -> np.ndarray:
@@ -74,6 +82,8 @@ def make_partition(pair: TransformPair, n: int) -> np.ndarray:
     """
     if n < 1:
         raise DomainError(f"partition size must be >= 1, got {n}")
+    if n % 1:  # also refuses NaN, whose remainder is NaN
+        raise DomainError(f"partition size must be a whole number, got {n}")
     x1 = np.linspace(0.0, pair.width, int(n) + 1)
     # the points i * (width / n) increase strictly unless the step underflows
     # or the last interior point rounds up to the end
@@ -91,10 +101,15 @@ def strip_areas(heights: np.ndarray, width: float, n: int, out=None) -> np.ndarr
 
 
 def _adaptive_core(f, pair, budget, abs_tol, rel_tol, method) -> QuadratureResult:
-    """int_0^{g(t)} f(h(x)) dx as int_0^{t**alpha} f(pair.tau(u)) du / Gamma(alpha+1)."""
-    # adaptive_quadrature's evaluate checks f's output, so f is called directly
+    """int_0^{g(t)} f(h(x)) dx as int_0^{t**alpha} f(pair.tau(u)) du / Gamma(alpha+1).
+
+    ``f.fn`` and ``pair.tau`` are bound once per call, so each evaluation is
+    two calls, with no ``Integrand.__call__`` and no attribute lookup between
+    them.  adaptive_quadrature's evaluate checks f's output, so f is called directly.
+    """
     raw, err, evals = adaptive_quadrature(
-        lambda u: f(pair.tau(u)), 0.0, pair.t**pair.alpha, abs_tol, rel_tol, budget
+        lambda u, fn=f.fn, tau=pair.tau: fn(tau(u)),
+        0.0, pair.t**pair.alpha, abs_tol, rel_tol, budget,
     )
     scale = 1.0 / pair.gamma_alpha_plus_one
     return QuadratureResult(scale * raw, scale * err, method, evals)
@@ -108,11 +123,11 @@ def _strip_sum(f, pair, n, method) -> QuadratureResult:
     areas is refused if the heights' total times the strip width is not 0.0:
     every area underflowed, though the sum has a nearest non-zero double.
     """
-    n = int(n)
     # the partition is this sum's own buffer: each block of it is overwritten by its
     # areas, while the block's heights are f's (its input, a view of it or an array
-    # it keeps), so they are only read
+    # it keeps), so they are only read; it refuses n before n is taken as an int
     areas = make_partition(pair, n)[:-1]
+    n = int(n)
     with np.errstate(over="ignore", invalid="ignore"):  # QuadratureResult refuses a non-finite sum
         for start in range(0, n, _BLOCK):
             block = areas[start:start + _BLOCK]

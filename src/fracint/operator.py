@@ -99,10 +99,19 @@ class FractionalOperator:
             raise DomainError(f"unknown route {self.route!r}; choose one of {METHODS}")
 
     def apply(self, f: Integrand, t: float) -> QuadratureResult:
-        # the numeric routes validate t once, where they build the transform pair
+        # the numeric routes validate t once, where they build the transform pair;
+        # the default route is tested first, and every engine is called through its
+        # module-level name, which a tracer may rebind
+        route = self.route
         if self.alpha == 0.0:
-            return QuadratureResult(float(evaluate(f, validate_horizon(t))), 0.0, self.route, 1)
-        if self.route == "oracle":
+            return QuadratureResult(float(evaluate(f, validate_horizon(t))), 0.0, route, 1)
+        if route == "transformed":
+            return transformed_riemann(
+                f, make_transform(self.alpha, t), self.budget, self.abs_tol, self.rel_tol
+            )
+        if route == "direct":
+            return direct_rl(f, self.alpha, t, self.budget, self.abs_tol, self.rel_tol)
+        if route == "oracle":
             t = validate_horizon(t)
             if f.power is None:
                 raise DomainError(
@@ -110,20 +119,18 @@ class FractionalOperator:
                 )
             c, p = f.power
             return QuadratureResult(power_oracle(p, self.alpha, t, c), 0.0, "oracle", 1)
-        if self.route == "direct":
-            return direct_rl(f, self.alpha, t, self.budget, self.abs_tol, self.rel_tol)
         pair = make_transform(self.alpha, t)
-        if self.route == "stieltjes":
+        if route == "stieltjes":
             return stieltjes_sum(f, pair, self.n)
-        if self.route == "cavalieri":
-            return cavalieri_sum(f, pair, self.n)
-        return transformed_riemann(f, pair, self.budget, self.abs_tol, self.rel_tol)
+        return cavalieri_sum(f, pair, self.n)
 
 
 def chebyshev_nodes(count: int, upper: float) -> np.ndarray:
     """Chebyshev-Lobatto points on [0, upper], increasing, endpoints included."""
     if count < 2:
         raise DomainError(f"need at least 2 nodes, got {count}")
+    if count % 1:  # also refuses NaN, whose remainder is NaN
+        raise DomainError(f"node count must be a whole number, got {count}")
     j = np.arange(count)
     return upper * 0.5 * (1.0 - np.cos(np.pi * j / (count - 1)))
 
@@ -199,6 +206,8 @@ def compose(
     """
     if grid < 64:
         raise DomainError(f"composition grid must be >= 64, got {grid}")
+    if grid % 1:  # also refuses NaN, whose remainder is NaN
+        raise DomainError(f"composition grid must be a whole number, got {grid}")
     t = validate_horizon(t)
     total = op_outer.alpha + op_inner.alpha
     if total > 1.0 + 1e-12:

@@ -132,9 +132,16 @@ def adaptive_quadrature(
 
 
 def _refine(fn, lo: float, hi: float, abs_tol: float, rel_tol: float, budget: int):
-    """adaptive_quadrature's bisection loop, on limits and settings it has checked."""
+    """adaptive_quadrature's bisection loop, on limits and settings it has checked.
+
+    A first panel that meets the tolerance is returned before the loop builds
+    its panel lists: the loop would return fsum([value]), which is value, except
+    that fsum turns -0.0 into 0.0, as value + 0.0 does.
+    """
     panel = _KRONROD_NODES.size
     value, err = _kronrod(evaluate(fn, _nodes(lo, hi)), lo, hi)
+    if err <= max(abs_tol, rel_tol * abs(value)):
+        return value + 0.0, err, panel
     evaluations = panel
     # the panels, as parallel lists in the order they were made
     los, his, values, errors = [lo], [hi], [value], [err]

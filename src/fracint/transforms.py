@@ -71,7 +71,8 @@ class TransformPair:
         """g(tau) on [0, t]; strictly increasing.  A numpy value shaped like tau."""
         arr = np.asarray(tau, dtype=float)
         slack = 1e-12 * self.t
-        if np.any(arr < -slack) or np.any(arr > self.t + slack):
+        # written as "every element inside", so that NaN, inside no interval, fails it
+        if not ((arr >= -slack).all() and (arr <= self.t + slack).all()):
             raise DomainError(f"tau outside [0, {self.t:g}]")
         arr = np.clip(arr, 0.0, self.t)
         t, a = self.t, self.alpha
@@ -105,7 +106,7 @@ class TransformPair:
         """
         arr = np.asarray(x, dtype=float)
         slack = 1e-12 * self.width
-        if np.any(arr < -slack) or np.any(arr > self.width + slack):
+        if not ((arr >= -slack).all() and (arr <= self.width + slack).all()):  # NaN fails
             raise DomainError(f"x outside [0, {self.width:g}]")
         if out is not None:
             u = np.multiply(self.gamma_alpha_plus_one, arr, out=out)

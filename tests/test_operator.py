@@ -363,6 +363,34 @@ def spy_integrand(fn=lambda x: x**1.5):
     return spy, Integrand(fn=spy, monotone=INCREASING)
 
 
+class TestEachMethodHasItsOwnEngine:
+    """apply calls each engine, and make_transform, by its name in fracint.operator,
+    where a tracer rebinds them."""
+
+    ENGINES = {
+        "direct": "direct_rl",
+        "transformed": "transformed_riemann",
+        "stieltjes": "stieltjes_sum",
+        "cavalieri": "cavalieri_sum",
+        "oracle": "power_oracle",
+    }
+
+    @pytest.mark.parametrize("method", sorted(ENGINES))
+    def test_dispatch_goes_through_the_module_names(self, method, monkeypatch):
+        called = []
+        for name in (*self.ENGINES.values(), "make_transform"):
+            def spy(*args, _name=name, _engine=getattr(fracint.operator, name)):
+                called.append(_name)
+                return _engine(*args)
+
+            monkeypatch.setattr(fracint.operator, name, spy)
+        result = FractionalOperator(0.5, method, n=1000).apply(LINEAR, 1.0)
+        # direct builds its own pair inside the engine, and the oracle needs none
+        pair = [] if method in ("direct", "oracle") else ["make_transform"]
+        assert called == pair + [self.ENGINES[method]]
+        assert result.method == method
+
+
 class TestIntegrandContract:
     """Every route and builder hands fn a float64 ndarray, and nothing else."""
 
@@ -492,6 +520,17 @@ class TestCompose:
             compose(outer, inner, LINEAR, 1.0, grid=3)
 
 
+    @pytest.mark.parametrize("grid", (64.5, 100.7, 256.25, float("nan"), float("inf")))
+    @pytest.mark.parametrize("orders", [(0.3, 0.4), (0.0, 0.5), (0.5, 0.0)])
+    def test_a_grid_that_is_not_a_whole_number_is_refused(self, grid, orders):
+        outer, inner = (FractionalOperator(alpha) for alpha in orders)
+        with pytest.raises(DomainError, match="composition grid must be a whole number"):
+            compose(outer, inner, LINEAR, 1.0, grid=grid)
+
+    def test_an_integral_float_grid_keeps_its_bits(self):
+        ops = FractionalOperator(0.3), FractionalOperator(0.4)
+        assert compose(*ops, SQRT, 1.0, grid=64.0) == compose(*ops, SQRT, 1.0, grid=64)
+
 class TestNotAKnotSpline:
     def test_reproduces_a_cubic(self):
         nodes = chebyshev_nodes(17, 3.0)
@@ -580,6 +619,18 @@ def test_chebyshev_nodes_shape():
     assert np.all(np.diff(nodes) > 0)
     assert len(nodes) == 9
 
+
+@pytest.mark.parametrize("count", (4.5, 2.000001, float("nan"), float("inf")))
+def test_chebyshev_nodes_refuse_a_count_that_is_not_a_whole_number(count):
+    with pytest.raises(DomainError, match="node count must be a whole number"):
+        chebyshev_nodes(count, 1.0)
+
+
+@pytest.mark.parametrize("count", (2, 5, 64, 257))
+def test_chebyshev_nodes_of_an_integral_float_keep_their_bits(count):
+    nodes = chebyshev_nodes(float(count), 3.0)
+    assert nodes.tobytes() == chebyshev_nodes(count, 3.0).tobytes()
+    assert nodes[-1] == 3.0 and len(nodes) == count
 
 def test_order_response_is_smooth():
     # values along an order sweep should show no isolated jumps

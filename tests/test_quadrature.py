@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -30,6 +31,7 @@ from fracint.quadrature import (
     bisect_monotone,
     stieltjes_integral,
 )
+from fracint.strips import build_strips
 from fracint.transforms import make_transform
 
 from _reference import (
@@ -874,3 +876,100 @@ class TestEvaluate:
 
         assert peak_bytes(refused) < 2 * 8 * m
         assert calls == [(10,)]
+
+
+class TestQuadratureResultIsAFrozenDataclass:
+    """The hand-written __init__ keeps every generated dataclass behaviour and refusal."""
+
+    RESULT = QuadratureResult(1.5, 0.25, "direct", 21)
+
+    def test_fields_in_order(self):
+        names = [field.name for field in dataclasses.fields(QuadratureResult)]
+        assert names == ["value", "error_estimate", "method", "evaluations"]
+        assert dataclasses.astuple(self.RESULT) == (1.5, 0.25, "direct", 21)
+        assert QuadratureResult(
+            evaluations=21, method="direct", error_estimate=0.25, value=1.5
+        ) == self.RESULT
+        assert dataclasses.replace(self.RESULT, evaluations=42) == QuadratureResult(
+            1.5, 0.25, "direct", 42
+        )
+
+    def test_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            self.RESULT.value = 2.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del self.RESULT.method
+        assert self.RESULT.value == 1.5
+
+    def test_eq_hash_and_repr(self):
+        twin = QuadratureResult(1.5, 0.25, "direct", 21)
+        assert twin == self.RESULT and hash(twin) == hash(self.RESULT)
+        assert twin != QuadratureResult(1.5, 0.25, "transformed", 21)
+        assert twin != (1.5, 0.25, "direct", 21)
+        assert repr(twin) == (
+            "QuadratureResult(value=1.5, error_estimate=0.25, method='direct', evaluations=21)"
+        )
+
+    @pytest.mark.parametrize(("changes", "error", "refusal"), (
+        ({"method": "sum"}, DomainError, "unknown method 'sum'"),
+        ({"value": math.inf}, NumericalError, r"non-finite direct result inf \(error estimate 0.25\)"),
+        ({"error_estimate": math.nan}, NumericalError, "non-finite direct result 1.5"),
+        ({"error_estimate": -1e-9}, DomainError, "error estimate must be >= 0"),
+        ({"evaluations": 0}, DomainError, "evaluation count must be positive"),
+        # the refusals run in order: the first that applies is raised
+        ({"method": "sum", "value": math.nan, "evaluations": 0}, DomainError, "unknown method"),
+        ({"value": math.nan, "error_estimate": -1.0}, NumericalError, "non-finite"),
+        ({"error_estimate": -1.0, "evaluations": 0}, DomainError, "error estimate must be >= 0"),
+    ))
+    def test_replace_runs_every_refusal(self, changes, error, refusal):
+        with pytest.raises(error, match=refusal):
+            dataclasses.replace(self.RESULT, **changes)
+
+
+class TestOnePanelApply:
+    @pytest.mark.parametrize("route", ("transformed", "direct"))
+    def test_the_integrand_is_called_once_on_one_panel(self, route):
+        calls = []
+
+        def linear(x):
+            calls.append(x.shape)
+            return x
+
+        result = FractionalOperator(0.5, route).apply(Integrand(fn=linear), 1.0)
+        assert calls == [(PANEL,)]
+        assert result.evaluations == PANEL and result.method == route
+        assert result.value == pytest.approx(FOUR_OVER_3SQRTPI, rel=1e-14)
+
+    def test_an_accepted_first_panel_sums_as_the_loop_does(self):
+        # on [0, 0.1] the Kronrod sum of -2e-323 rounds to -0.0; the loop's fsum gives 0.0
+        def tiny(x):
+            return np.full_like(x, -2e-323)
+
+        got = adaptive_quadrature(tiny, 0.0, 0.1)
+        assert got == _reference_quadrature(tiny, 0.0, 0.1)
+        assert same_bits(got[0], 0.0) and got[2] == PANEL
+
+
+class TestWholeNumberCounts:
+    """A strip or node count that is not a whole number is refused, not truncated."""
+
+    PAIR = make_transform(0.5, 2.0)
+
+    @pytest.mark.parametrize("n", (2.5, 0.5 + 1e6, math.nan, math.inf))
+    def test_a_partition_size_is_a_whole_number(self, n):
+        with pytest.raises(DomainError, match="partition size must be a whole number"):
+            make_partition(self.PAIR, n)
+        for total in (stieltjes_sum, cavalieri_sum):
+            with pytest.raises(DomainError, match="partition size must be a whole number"):
+                total(LINEAR, self.PAIR, n)
+        for route in ("stieltjes", "cavalieri"):
+            with pytest.raises(DomainError, match="partition size must be a whole number"):
+                FractionalOperator(0.5, route, n=n).apply(LINEAR, 2.0)
+        with pytest.raises(DomainError, match="partition size must be a whole number"):
+            build_strips(LINEAR, self.PAIR, n)
+
+    @pytest.mark.parametrize("n", (1, 2, 7, 1000))
+    def test_an_integral_float_keeps_its_bits(self, n):
+        assert same_bits(make_partition(self.PAIR, float(n)), make_partition(self.PAIR, n))
+        for total in (stieltjes_sum, cavalieri_sum):
+            assert total(LINEAR, self.PAIR, float(n)) == total(LINEAR, self.PAIR, n)

@@ -115,6 +115,36 @@ def test_domain_errors():
         pair.inverse(-0.1)
 
 
+@pytest.mark.parametrize("bad", (
+    np.nan,
+    np.array(np.nan),
+    np.array([0.0, np.nan, 1.0]),
+    np.array([np.nan, np.nan]),
+))
+def test_nan_is_outside_every_range(bad):
+    pair = make_transform(0.5, 2.0)
+    with pytest.raises(DomainError, match="tau outside"):
+        pair.forward(bad)
+    with pytest.raises(DomainError, match="x outside"):
+        pair.inverse(bad)
+    if np.ndim(bad):
+        into = np.zeros(np.shape(bad))
+        with pytest.raises(DomainError, match="x outside"):
+            pair.inverse(bad, out=into)
+        assert not into.any()
+
+
+def test_in_range_values_pass_the_nan_refusing_check():
+    # the ends and the slack past them are still inside
+    pair = make_transform(0.5, 2.0)
+    slack = 1e-12
+    taus = np.array([-slack * pair.t, 0.0, 1.0, pair.t, pair.t * (1.0 + slack)])
+    xs = np.array([-slack * pair.width, 0.0, pair.width, pair.width * (1.0 + slack)])
+    assert np.isfinite(pair.forward(taus)).all()
+    assert np.isfinite(pair.inverse(xs)).all()
+    assert pair.forward(np.empty(0)).shape == pair.inverse(np.empty(0)).shape == (0,)
+
+
 def test_radicand_clamping_near_right_endpoint():
     pair = make_transform(0.5, 4.0)
     # nudge just past the endpoint but inside the clamping tolerance
