@@ -5,17 +5,20 @@ semigroup.  Exit codes: 0 success, 2 input or domain error, 3 numerical
 failure or an allocation that does not fit in memory.  The parser holds every
 default and parses every input, the integrand spec and the comma-separated
 lists included, before any handler runs, so a malformed input exits 2 before
-any computation.  Each subcommand
-and each shared flag group is declared once, and a run builds only the parser
-of the subcommand it runs; an in-process ``main`` reuses a subcommand parser
-that an earlier call built, and a built parser is never changed after it is
-built.  An optional key=value config file seeds the parse of its own call with
-values for the settings flags its subcommand offers; explicit flags always
-win.  Every printed area is an
-operator value: ``strips`` draws geometry only and offers no settings flags.
+any computation.  Each subcommand and each shared flag group is declared once.
+A process builds one parser tree, the top-level parser and all eight subcommand
+parsers, on its first run, and never changes it; each run parses with its own
+copy of the top-level parser.
+An optional key=value config file seeds the parse of its own call with values
+for the settings flags its subcommand offers; explicit flags always win.  Every
+printed area is an operator value: ``strips`` draws geometry only and offers no
+settings flags.
 """
 
 import argparse
+import copy
+import functools
+import itertools
 import sys
 import time
 
@@ -96,9 +99,10 @@ def parse_sum_n(text: str) -> int:
     return n
 
 
-def load_config(path: str, parser: argparse.ArgumentParser) -> dict:
-    """Values for the settings flags of ``parser`` from key=value lines, cast by flag type."""
-    actions = {a.dest: a for a in parser._actions if a.dest in SETTINGS}
+def load_config(path: str, command: str) -> dict:
+    """Values for the settings flags of ``command`` from key=value lines, cast by flag type."""
+    rows = _flags(*next(row[3:] for row in COMMANDS if row[0] == command))
+    types = {options.get("dest", names[0][2:]): options.get("type") for names, options in rows}
     config = {}
     try:
         with open(path) as handle:
@@ -110,10 +114,10 @@ def load_config(path: str, parser: argparse.ArgumentParser) -> dict:
                 if not sep:
                     raise DomainError(f"{path}:{lineno}: expected key=value, got {line!r}")
                 key = key.strip()
-                if key not in actions:
-                    raise DomainError(f"{path}:{lineno}: unknown config key {key!r} for {parser.prog}")
+                if key not in SETTINGS or key not in types:
+                    raise DomainError(f"{path}:{lineno}: unknown config key {key!r} for fracint {command}")
                 try:
-                    config[key] = actions[key].type(value.strip())
+                    config[key] = types[key](value.strip())
                 except ValueError as exc:
                     raise DomainError(f"config key {key!r}: {exc}") from None
     except OSError as exc:
@@ -188,17 +192,14 @@ def cmd_compare(args) -> None:
                 route: _operator(alpha, route, args).apply(args.f, t).value
                 for route in ROUTES
             }
-            deltas = {}
-            for i, r1 in enumerate(ROUTES):
-                for r2 in ROUTES[i + 1:]:
-                    deltas[f"{r1}|{r2}"] = _rel_delta(values[r1], values[r2])
+            deltas = {f"{r1}|{r2}": _rel_delta(values[r1], values[r2])
+                      for r1, r2 in itertools.combinations(ROUTES, 2)}
             consistent = all(d <= args.tolerance for d in deltas.values())
             all_consistent = all_consistent and consistent
-            entry = dict(values)
-            entry["oracle"] = _oracle_value(args.f, alpha, t)
-            entry["deltas"] = deltas
-            entry["consistent"] = consistent
-            results[f"alpha={alpha:g},t={t:g}"] = entry
+            results[f"alpha={alpha:g},t={t:g}"] = {
+                **values, "oracle": _oracle_value(args.f, alpha, t), "deltas": deltas,
+                "consistent": consistent,
+            }
     payload = {
         "integrand": args.f.label,
         "tolerance": args.tolerance,
@@ -288,8 +289,7 @@ def cmd_curves(args) -> None:
             f"t-step {args.t_step:g} over [{args.t_start:g}, {args.t_stop:g}] needs more "
             f"than {MAX_CURVE_HORIZONS} horizons"
         )
-    count = int(steps) + 1
-    horizons = [args.t_start + k * args.t_step for k in range(count)]
+    horizons = [args.t_start + k * args.t_step for k in range(int(steps) + 1)]
 
     curve_block = ["alpha,t,value"]
     for alpha in args.alpha:
@@ -301,9 +301,7 @@ def cmd_curves(args) -> None:
     for alpha in args.alpha:
         op = _operator(alpha, "transformed", args)
         markers = [op.apply(args.f, t).value for t in args.marker_t]
-        marker_block.append(
-            format_rows(f"{format_number(alpha)},{_PAIR}", (args.marker_t, markers))
-        )
+        marker_block.append(format_rows(f"{format_number(alpha)},{_PAIR}", (args.marker_t, markers)))
     write_text(args.out, join_blocks(curve_block, marker_block))
 
 
@@ -377,45 +375,32 @@ COMMANDS = (
 )
 
 
-# the subcommand parsers built so far in this process, by name
-_BUILT = {}
+def _flags(groups, flags):
+    """A subcommand's (names, options) rows, in the order its parser adds them."""
+    return [*(g for key in (*groups, "out") for g in GROUPS[key]), *flags]
 
 
-class _SubcommandParsers(dict):
-    """COMMANDS rows by name; looking a name up builds its parser once per process.
-
-    Registered as ``add_parser`` would register each row, through argparse internals
-    (CPython 3.11): the map the subparsers action looks a parsed name up in, and one
-    ``_ChoicesPseudoAction`` per name holding its help line.  A parser built by an
-    earlier lookup is kept in ``_BUILT`` and returned again; it is never changed
-    after it is built, so a run sees only the defaults the parser was built with.
-    """
-
-    def __init__(self, sub):
-        super().__init__((row[0], row) for row in COMMANDS)
-        sub.choices = sub._name_parser_map = self
-        sub._choices_actions += [sub._ChoicesPseudoAction(row[0], (), row[2]) for row in COMMANDS]
-
-    def __getitem__(self, name):
-        if name not in _BUILT:
-            _, handler, _, groups, flags = super().__getitem__(name)
-            p = _BUILT[name] = argparse.ArgumentParser(prog=f"fracint {name}")
-            for names, options in [*(g for key in (*groups, "out") for g in GROUPS[key]), *flags]:
-                p.add_argument(*names, **options)
-            p.set_defaults(handler=handler, parser=p)
-        return _BUILT[name]
-
-
-def build_parser() -> argparse.ArgumentParser:
-    """A fresh ``fracint`` parser; a parse looks up, and so builds once, its subcommand's parser."""
+@functools.cache
+def _fracint_parser() -> argparse.ArgumentParser:
+    """The one ``fracint`` parser tree of this process, built on first use, never changed."""
     parser = argparse.ArgumentParser(
         prog="fracint",
         description="Order-alpha integrals by four named routes on two numerical cores, "
         "with strip-geometry and table/figure data emitters.",
     )
     # prog given, so that argparse does not format the usage above to derive the same name
-    _SubcommandParsers(parser.add_subparsers(dest="command", required=True, prog="fracint"))
+    sub = parser.add_subparsers(dest="command", required=True, prog="fracint")
+    for name, handler, help_text, groups, flags in COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for names, options in _flags(groups, flags):
+            p.add_argument(*names, **options)
+        p.set_defaults(handler=handler, parser=p)
     return parser
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """A copy of the one ``fracint`` parser: set attributes on it, but change nothing it shares."""
+    return copy.copy(_fracint_parser())
 
 
 def main(argv=None) -> int:
@@ -427,7 +412,7 @@ def main(argv=None) -> int:
             # default only where the namespace lacks the attribute, so explicit flags win
             argv = sys.argv[1:] if argv is None else argv
             rest = argv[argv.index(args.command) + 1:]
-            config = load_config(args.config, args.parser)
+            config = load_config(args.config, args.command)
             args = args.parser.parse_args(rest, argparse.Namespace(**config))
         # an overflow is refused by the check that meets it (_kronrod, QuadratureResult,
         # strips), so numpy's warning would only print before the fracint: line

@@ -74,16 +74,21 @@ class QuadratureResult:
         )
 
 
+def check_partition_size(n: int) -> None:
+    """Refuse a partition size below 1 or not a whole number."""
+    if n < 1:
+        raise DomainError(f"partition size must be >= 1, got {n}")
+    if n % 1:  # also refuses NaN, whose remainder is NaN
+        raise DomainError(f"partition size must be a whole number, got {n}")
+
+
 def make_partition(pair: TransformPair, n: int) -> np.ndarray:
     """The n+1 tau abscissae x2_i = h(i * width/n) of n equal-width strips.
 
     The result is one fresh array that the caller owns and may overwrite: h is
     computed in the buffer that holds the points i * width/n.
     """
-    if n < 1:
-        raise DomainError(f"partition size must be >= 1, got {n}")
-    if n % 1:  # also refuses NaN, whose remainder is NaN
-        raise DomainError(f"partition size must be a whole number, got {n}")
+    check_partition_size(n)
     x1 = np.linspace(0.0, pair.width, int(n) + 1)
     # the points i * (width / n) increase strictly unless the step underflows
     # or the last interior point rounds up to the end

@@ -13,11 +13,12 @@ import numpy as np
 from .errors import DomainError, NumericalError
 from .gamma import gamma
 from .integrand import UNKNOWN, Integrand, evaluate
-from .quadrature import DEFAULT_ABS_TOL, DEFAULT_BUDGET, DEFAULT_REL_TOL
+from .quadrature import DEFAULT_ABS_TOL, DEFAULT_BUDGET, DEFAULT_REL_TOL, check_adaptive_settings
 from .engines import (
     METHODS,
     QuadratureResult,
     cavalieri_sum,
+    check_partition_size,
     direct_rl,
     stieltjes_sum,
     transformed_riemann,
@@ -83,7 +84,8 @@ class FractionalOperator:
     """Immutable operator of a fixed order with a configured numerical route.
 
     alpha = 0 is the tagged identity case: apply() returns f(t) without
-    touching any quadrature machinery.
+    touching any quadrature machinery.  Any other order checks here what every
+    apply of its route would: the adaptive tolerances and budget, or the sums' n.
     """
 
     alpha: float
@@ -97,6 +99,10 @@ class FractionalOperator:
         validate_order(self.alpha)
         if self.route not in METHODS:
             raise DomainError(f"unknown route {self.route!r}; choose one of {METHODS}")
+        if self.alpha != 0.0 and self.route in ("transformed", "direct"):
+            check_adaptive_settings(self.abs_tol, self.rel_tol, self.budget)
+        elif self.alpha != 0.0 and self.route in ("stieltjes", "cavalieri"):
+            check_partition_size(self.n)
 
     def apply(self, f: Integrand, t: float) -> QuadratureResult:
         # the numeric routes validate t once, where they build the transform pair;
@@ -114,9 +120,7 @@ class FractionalOperator:
         if route == "oracle":
             t = validate_horizon(t)
             if f.power is None:
-                raise DomainError(
-                    f"oracle route needs a power-family integrand, got {f.label!r}"
-                )
+                raise DomainError(f"oracle route needs a power-family integrand, got {f.label!r}")
             c, p = f.power
             return QuadratureResult(power_oracle(p, self.alpha, t, c), 0.0, "oracle", 1)
         pair = make_transform(self.alpha, t)

@@ -95,6 +95,14 @@ def _nodes(lo: float, hi: float):
     return 0.5 * (lo + hi) + 0.5 * (hi - lo) * _KRONROD_NODES
 
 
+def check_adaptive_settings(abs_tol: float, rel_tol: float, budget: int) -> None:
+    """Refuse a NaN or negative tolerance, and a budget that cannot pay for one panel."""
+    if not (abs_tol >= 0.0 and rel_tol >= 0.0):  # also refuses NaN
+        raise DomainError(f"tolerances must be >= 0, got abs_tol={abs_tol!r}, rel_tol={rel_tol!r}")
+    if budget < _KRONROD_NODES.size:
+        raise DomainError(f"budget {budget} cannot pay for a single panel")
+
+
 def adaptive_quadrature(
     fn: Callable,
     lo: float,
@@ -117,12 +125,9 @@ def adaptive_quadrature(
         raise DomainError("integration limits must be finite")
     if hi < lo:
         raise DomainError(f"inverted integration interval [{lo:g}, {hi:g}]")
-    if not (abs_tol >= 0.0 and rel_tol >= 0.0):  # also refuses NaN
-        raise DomainError(f"tolerances must be >= 0, got abs_tol={abs_tol!r}, rel_tol={rel_tol!r}")
+    check_adaptive_settings(abs_tol, rel_tol, budget)
     if hi == lo:
         return 0.0, 0.0, 0
-    if budget < _KRONROD_NODES.size:
-        raise DomainError(f"budget {budget} cannot pay for a single panel")
     try:
         return _refine(fn, lo, hi, abs_tol, rel_tol, budget)
     except RuntimeWarning as warning:

@@ -219,6 +219,11 @@ class TestComputeCommand:
         row = rows_of(out.read_text().strip().splitlines())[0]
         assert float(row["value"]) == 7.0
 
+    def test_the_oracle_route_ignores_the_adaptive_settings(self, capsys):
+        assert run(["compute", "--method", "oracle", "--budget", "14", "--abs-tol", "nan",
+                    "--n", "0", "--alpha", "0.5", "--t", "1"]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_bad_integrand_exits_2(self, capsys):
         assert run(["compute", "--f", "sin:1:1"]) == 2
 
@@ -408,6 +413,12 @@ class TestRegionsCommand:
 
 
 class TestCurvesCommand:
+    def test_a_curve_operator_with_a_bad_setting_exits_2_unapplied(self, capsys):
+        # the horizon 0 is never integrated, but the operator is refused as it is built
+        assert run(["curves", "--t-start", "0", "--t-stop", "0", "--t-step", "1",
+                    "--method", "cavalieri", "--n", "0"]) == 2
+        assert capsys.readouterr().err == "fracint: partition size must be >= 1, got 0\n"
+
     def test_blocks_and_identity_curve(self, tmp_path):
         out = tmp_path / "curves.csv"
         assert run(["curves", "--f", "pow:1:0.5", "--alpha", "0,0.4", "--t-start", "0",

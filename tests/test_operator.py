@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import fracint
 
 from fracint import cli
-from fracint.engines import cauchy_repeated, transformed_riemann
+from fracint.engines import METHODS, cauchy_repeated, make_partition, transformed_riemann
 from fracint.errors import DomainError, NumericalError
 from fracint.integrand import INCREASING, Integrand, power_integrand
 from fracint.operator import (
@@ -24,7 +24,7 @@ from fracint.operator import (
     not_a_knot_spline,
     power_oracle,
 )
-from fracint.quadrature import CavalieriRegion, stieltjes_integral
+from fracint.quadrature import CavalieriRegion, adaptive_quadrature, stieltjes_integral
 from fracint.strips import build_strips, region_family
 from fracint.transforms import make_transform
 
@@ -39,6 +39,15 @@ from _reference import (
 
 LINEAR = power_integrand(1.0, 1.0)
 SQRT = power_integrand(1.0, 0.5)
+
+# one setting no apply of its routes accepts, each alone
+BAD_SETTINGS = [{"budget": 14}, {"abs_tol": math.nan}, {"rel_tol": -1.0}, {"n": 0}, {"n": 2.5}]
+SETTING_ROUTES = {  # the routes that read each setting
+    "budget": ("direct", "transformed"),
+    "abs_tol": ("direct", "transformed"),
+    "rel_tol": ("direct", "transformed"),
+    "n": ("stieltjes", "cavalieri"),
+}
 
 
 def exact_power_integral(c, p, alpha, t):
@@ -301,6 +310,26 @@ class TestApply:
             FractionalOperator(1.2)
         with pytest.raises(DomainError):
             FractionalOperator(0.5, route="simpson")
+
+    @pytest.mark.parametrize("route", METHODS)
+    @pytest.mark.parametrize("setting", BAD_SETTINGS, ids=str)
+    def test_a_setting_every_apply_refuses_is_refused_at_construction(self, route, setting):
+        """The same DomainError text as the check each apply of the route makes;
+        a route that never reads the setting, and order 0, accept it and apply."""
+        ((key, value),) = setting.items()
+        if route in SETTING_ROUTES[key]:
+            with pytest.raises(DomainError) as refused:
+                FractionalOperator(0.5, route, **setting)
+            with pytest.raises(DomainError) as at_apply:
+                if key == "n":
+                    make_partition(make_transform(0.5, 1.0), value)
+                else:
+                    adaptive_quadrature(np.exp, 0.0, 1.0, **setting)
+            assert str(refused.value) == str(at_apply.value)
+        else:
+            op = FractionalOperator(0.5, route, **{"n": 1000, **setting})
+            assert op.apply(LINEAR, 1.0).value == pytest.approx(FOUR_OVER_3SQRTPI, rel=1e-3)
+        assert FractionalOperator(0.0, route, **setting).apply(LINEAR, 3.0).value == 3.0
 
     @pytest.mark.parametrize("route", ("direct", "transformed", "stieltjes", "cavalieri"))
     def test_overflowing_value_raises(self, route):

@@ -1,10 +1,10 @@
-"""The ``fracint`` parser builds a subcommand's parser only when a parse looks it up,
-and keeps it for later calls in the same process.
+"""A process builds one ``fracint`` parser tree, on its first run, and every
+``build_parser`` call returns a copy of its top-level parser.
 
 ``_parser_before`` is a verbatim copy of the parser that built all 15 parsers
 on every run.  Each argv below goes through ``cli.main`` once with each parser:
 stdout, stderr, the exit code and every namespace parsed must be the same.
-This pins the argparse internals the lazy registration relies on.
+This pins the help, usage, error and namespace bytes the one tree must keep.
 """
 
 import argparse
@@ -130,10 +130,22 @@ def test_config_key_another_subcommand_has_matches_the_eager_parser(
     assert code == 2 and "unknown config key 'n' for fracint regions" in err
 
 
+# the prog of every parser in the tree, in the order the first run constructs them
+TREE = ["fracint"] + [f"fracint {name}" for name in NAMES]
+
+# the shortest argv that parses, per subcommand
+MINIMAL = {name: [name] for name in NAMES} | {
+    "gamma": ["gamma", "--x", "0.5"],
+    "transform": ["transform", "--alpha", "0.5", "--t", "1"],
+    "strips": ["strips", "--alpha", "0.5", "--t", "1"],
+    "semigroup": ["semigroup", "--alpha", "0.3", "--beta", "0.4", "--t", "1"],
+}
+
+
 @pytest.fixture
 def built(monkeypatch):
-    """The prog of every ArgumentParser built, in order, from an empty subcommand cache."""
-    monkeypatch.setattr(cli, "_BUILT", {})
+    """The prog of every ArgumentParser constructed, in order, in a process with no tree yet."""
+    cli._fracint_parser.cache_clear()
     progs = []
     init = argparse.ArgumentParser.__init__
 
@@ -145,60 +157,59 @@ def built(monkeypatch):
     return progs
 
 
-def test_transform_builds_only_its_parser(built, tmp_path):
+def test_the_first_run_builds_the_whole_tree(built, tmp_path):
     out = tmp_path / "transform.csv"
     assert cli.main(["transform", "--alpha", "0.5", "--t", "2", "--samples", "3",
                      "--out", str(out)]) == 0
-    assert built == ["fracint", "fracint transform"]
+    assert built == TREE
 
 
-def test_compare_builds_only_its_parser_once_with_a_config(built, tmp_path):
+def test_a_config_run_builds_the_tree_once(built, tmp_path):
     config = tmp_path / "fracint.conf"
     config.write_text("tolerance = 0.5\n")
     out = tmp_path / "compare.json"
     assert cli.main(["compare", "--alpha", "0.5", "--t", "1", "--n", "10", "--config",
                      str(config), "--out", str(out)]) == 0
-    assert built == ["fracint", "fracint compare"]
+    assert built == TREE
 
 
-def test_a_second_identical_run_builds_only_the_top_level_parser(built, tmp_path):
+def test_a_second_identical_run_builds_no_parser(built, tmp_path):
     out = tmp_path / "compare.json"
     argv = ["compare", "--alpha", "0.5", "--t", "1", "--n", "10", "--out", str(out)]
     assert cli.main(argv) == 0
     first = out.read_bytes()
     del built[:]
     assert cli.main(argv) == 0
-    assert built == ["fracint"]
+    assert built == []
     assert out.read_bytes() == first
 
 
 def test_a_config_run_never_changes_the_subcommand_parser(tmp_path, monkeypatch):
-    """The file seeds the parse: the reused compare parser keeps its built-in
+    """The file seeds the parse: the process's compare parser keeps its built-in
     tolerance default through every parse of a --config run and while its handler,
     which got the file's value, runs."""
     config = tmp_path / "fracint.conf"
     config.write_text("tolerance = 0.25\n")
+    cli._fracint_parser.cache_clear()
+    compare = cli.build_parser().parse_args(["compare"]).parser
     seen = []
-
-    def default():
-        return cli._BUILT["compare"].get_default("tolerance") if "compare" in cli._BUILT else None
-
     parse = argparse.ArgumentParser.parse_known_args
 
     def parse_known_args(self, *args, **kwargs):
-        seen.append(("parse", default()))
+        seen.append(("parse", compare.get_default("tolerance")))
         return parse(self, *args, **kwargs)
 
     def write_text(path, text):
-        seen.append(("handler", default(), json.loads(text)["tolerance"]))
+        seen.append(("handler", compare.get_default("tolerance"), json.loads(text)["tolerance"]))
 
     monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", parse_known_args)
     monkeypatch.setattr(cli, "write_text", write_text)
     assert cli.main(["compare", "--alpha", "0.5", "--t", "1", "--n", "10",
                      "--config", str(config)]) == 0
     assert seen[-1] == ("handler", 1e-3, 0.25)
-    assert {value for _, value, *_ in seen} <= {None, 1e-3}
+    assert {value for _, value, *_ in seen} == {1e-3}
     assert len(seen) >= 4  # the top-level parse, its subcommand parse, the reparse, the handler
+    assert cli.build_parser().parse_args(["compare"]).parser is compare
 
 
 @pytest.mark.parametrize("config_first", [True, False], ids=["config-first", "plain-first"])
@@ -222,22 +233,64 @@ def test_a_config_applies_only_to_its_own_run(config_first, tmp_path, monkeypatc
 
     expected = {}
     for name, argv in argvs.items():
-        monkeypatch.setattr(cli, "_BUILT", {})
+        cli._fracint_parser.cache_clear()
         expected[name] = run(argv)
     assert expected["config"] != expected["plain"]
-    monkeypatch.setattr(cli, "_BUILT", {})
+    cli._fracint_parser.cache_clear()
     for name in ("config", "plain") if config_first else ("plain", "config"):
         assert run(argvs[name]) == expected[name], name
 
 
-def test_top_level_help_lists_every_subcommand_and_builds_none(built, capsys):
+def test_top_level_help_lists_every_subcommand(built, capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(["--help"])
     assert info.value.code == 0
-    assert built == ["fracint"]
+    assert built == TREE
     out = capsys.readouterr().out
     assert "{" + ",".join(NAMES) + "}" in out
     words = " ".join(out.split())  # a long help line wraps
     for name, _, help_text, *_ in cli.COMMANDS:
         assert f" {name} {help_text} " in words
     assert len(NAMES) == 8
+
+
+def test_each_call_returns_its_own_copy():
+    first, second = cli.build_parser(), cli.build_parser()
+    assert first is not second
+    first.parse_args = lambda args=None, namespace=None: None
+    assert "parse_args" not in vars(second)
+    assert "parse_args" not in vars(cli.build_parser())
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_every_copy_shares_the_subcommand_parsers(name):
+    parsers = {id(cli.build_parser().parse_args(MINIMAL[name]).parser) for _ in range(3)}
+    assert len(parsers) == 1
+
+
+def test_wrapping_each_copy_never_nests(monkeypatch, capsys):
+    """A caller that wraps the parse_args of every parser build_parser returns, as a
+    tracer does, wraps a fresh copy each run: 2000 runs nest no wrapper."""
+    build = cli.build_parser
+    depth, entered = [], []
+
+    def wrapped_build():
+        parser = build()
+        parse_args = parser.parse_args
+
+        def traced(*args, **kwargs):
+            depth.append(1)
+            entered.append(len(depth))
+            try:
+                return parse_args(*args, **kwargs)
+            finally:
+                depth.pop()
+
+        parser.parse_args = traced
+        return parser
+
+    monkeypatch.setattr(cli, "build_parser", wrapped_build)
+    for _ in range(2000):
+        assert cli.main(["gamma", "--x", "0.5"]) == 0
+    assert entered == [1] * 2000
+    assert capsys.readouterr().out == "1.77245385090552\n" * 2000
