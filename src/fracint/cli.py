@@ -10,9 +10,9 @@ A process builds one parser tree, the top-level parser and all eight subcommand
 parsers, on its first run, and never changes it; each run parses with its own
 copy of the top-level parser.
 An optional key=value config file seeds the parse of its own call with values
-for the settings flags its subcommand offers; explicit flags always win.  Every
-printed area is an operator value: ``strips`` draws geometry only and offers no
-settings flags.
+for the settings flags its subcommand offers; explicit flags always win.  ``strips``
+offers no settings flags: its ``strip_index,area`` rows are the left-endpoint areas
+f(x2_i) * W/n, whose total is the ``stieltjes`` value, not the drawn strips' areas.
 """
 
 import argparse
@@ -47,7 +47,7 @@ from .output import (
 )
 from .quadrature import DEFAULT_ABS_TOL, DEFAULT_BUDGET, DEFAULT_REL_TOL
 from .strips import build_strips, region_family
-from .transforms import make_transform
+from .transforms import make_transform, validate_count
 
 DEFAULT_ALPHAS = "0,0.2,0.4,0.6,0.8,1"
 DEFAULT_HORIZONS = "2,4,6,8,10"
@@ -153,8 +153,7 @@ def cmd_gamma(args) -> None:
 
 def cmd_transform(args) -> None:
     pair = make_transform(args.alpha, args.t)
-    if args.samples < 2:
-        raise DomainError(f"need at least 2 samples per curve, got {args.samples}")
+    validate_count(args.samples, 2, "samples per curve")
     _check_rows(2 * args.samples, f"--samples {args.samples}")
     taus = np.linspace(0.0, pair.t, args.samples)
     xs = np.linspace(0.0, pair.width, args.samples)

@@ -30,7 +30,7 @@ from .quadrature import (
     DEFAULT_REL_TOL,
     adaptive_quadrature,
 )
-from .transforms import TransformPair, make_transform, validate_horizon
+from .transforms import TransformPair, make_transform, validate_count, validate_horizon
 
 ROUTES = ("direct", "stieltjes", "cavalieri", "transformed")  # the numeric routes
 METHODS = ROUTES + ("oracle",)
@@ -74,22 +74,13 @@ class QuadratureResult:
         )
 
 
-def check_partition_size(n: int) -> None:
-    """Refuse a partition size below 1 or not a whole number."""
-    if n < 1:
-        raise DomainError(f"partition size must be >= 1, got {n}")
-    if n % 1:  # also refuses NaN, whose remainder is NaN
-        raise DomainError(f"partition size must be a whole number, got {n}")
-
-
 def make_partition(pair: TransformPair, n: int) -> np.ndarray:
     """The n+1 tau abscissae x2_i = h(i * width/n) of n equal-width strips.
 
     The result is one fresh array that the caller owns and may overwrite: h is
     computed in the buffer that holds the points i * width/n.
     """
-    check_partition_size(n)
-    x1 = np.linspace(0.0, pair.width, int(n) + 1)
+    x1 = np.linspace(0.0, pair.width, validate_count(n, 1, "partition size") + 1)
     # the points i * (width / n) increase strictly unless the step underflows
     # or the last interior point rounds up to the end
     if not (x1[1] > 0.0 and x1[-1] > x1[-2]):
@@ -217,8 +208,7 @@ def cauchy_repeated(f: Integrand, n: int, t: float) -> QuadratureResult:
     works; a result below the smallest double comes back as 0.0, the nearest
     double (e.g. n = 1000 with t = 1).
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise DomainError(f"repetition count must be a positive integer, got {n!r}")
+    n = validate_count(n, 1, "repetition count")
     t = validate_horizon(t)
 
     def kernel(tau):

@@ -18,12 +18,11 @@ from .engines import (
     METHODS,
     QuadratureResult,
     cavalieri_sum,
-    check_partition_size,
     direct_rl,
     stieltjes_sum,
     transformed_riemann,
 )
-from .transforms import make_transform, validate_horizon, validate_order
+from .transforms import make_transform, validate_count, validate_horizon, validate_order
 
 DEFAULT_SUM_N = 100_000
 DEFAULT_COMPOSE_GRID = 256
@@ -102,7 +101,7 @@ class FractionalOperator:
         if self.alpha != 0.0 and self.route in ("transformed", "direct"):
             check_adaptive_settings(self.abs_tol, self.rel_tol, self.budget)
         elif self.alpha != 0.0 and self.route in ("stieltjes", "cavalieri"):
-            check_partition_size(self.n)
+            validate_count(self.n, 1, "partition size")
 
     def apply(self, f: Integrand, t: float) -> QuadratureResult:
         # the numeric routes validate t once, where they build the transform pair;
@@ -131,10 +130,7 @@ class FractionalOperator:
 
 def chebyshev_nodes(count: int, upper: float) -> np.ndarray:
     """Chebyshev-Lobatto points on [0, upper], increasing, endpoints included."""
-    if count < 2:
-        raise DomainError(f"need at least 2 nodes, got {count}")
-    if count % 1:  # also refuses NaN, whose remainder is NaN
-        raise DomainError(f"node count must be a whole number, got {count}")
+    count = validate_count(count, 2, "node count")
     j = np.arange(count)
     return upper * 0.5 * (1.0 - np.cos(np.pi * j / (count - 1)))
 
@@ -208,10 +204,7 @@ def compose(
     piecewise cubic, and fed to the outer operator.  By the order-addition
     law the result matches the single operator of order alpha + beta.
     """
-    if grid < 64:
-        raise DomainError(f"composition grid must be >= 64, got {grid}")
-    if grid % 1:  # also refuses NaN, whose remainder is NaN
-        raise DomainError(f"composition grid must be a whole number, got {grid}")
+    grid = validate_count(grid, 64, "composition grid")
     t = validate_horizon(t)
     total = op_outer.alpha + op_inner.alpha
     if total > 1.0 + 1e-12:

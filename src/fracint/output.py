@@ -9,6 +9,7 @@ one ``%`` operation.
 
 import json
 import os
+import stat
 import sys
 from contextlib import ExitStack
 
@@ -62,18 +63,24 @@ def write_texts(*outputs) -> None:
     """Write each (path, text) pair to its file, or to stdout where path is None.
 
     Every file is opened before the first write, so a path that cannot be written
-    writes nothing; it is an input error.
+    writes nothing; it is an input error, and so are two outputs in one regular file.
     """
     with ExitStack() as stack:
-        handles = []
+        handles, files = [], {}
         for path, _ in outputs:
             try:
                 # not "w": ext4 flushes a file truncated to 0 on close, so only a
                 # non-empty one is emptied, below
-                handles.append(None if path is None else stack.enter_context(
-                    open(path, "a", newline="")))
+                handle = None if path is None else stack.enter_context(open(path, "a", newline=""))
             except OSError as exc:
                 raise _unwritable(path, exc) from None
+            handles.append(handle)
+            info = handle and os.fstat(handle.fileno())
+            # one regular file given twice would keep only the last text; a device may repeat
+            if info and stat.S_ISREG(info.st_mode):
+                first = files.setdefault((info.st_dev, info.st_ino), handle)
+                if first is not handle:
+                    raise DomainError(f"outputs {first.name!r} and {path!r} are one file")
         for handle, (path, text) in zip(handles, outputs):
             if handle is None:
                 sys.stdout.write(text)

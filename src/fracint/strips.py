@@ -18,7 +18,7 @@ import numpy as np
 from .engines import make_partition, strip_areas
 from .errors import DomainError, NonMonotoneError, NumericalError
 from .integrand import INCREASING, Integrand, evaluate
-from .transforms import TransformPair, validate_horizon, validate_order
+from .transforms import TransformPair, validate_count, validate_horizon, validate_order
 
 
 @dataclass(frozen=True)
@@ -46,9 +46,7 @@ class TranslationReport:
 
 def _assemble(f, alpha, t, width, n, side, x2, samples) -> StripGeometry:
     """n strips of width width/n: boundary i is (side(tau) + i * width/n, f(tau)), cut at x2_i."""
-    if samples < 2:
-        raise DomainError(f"need at least 2 samples per curve, got {samples}")
-    samples = int(samples)
+    samples = validate_count(samples, 2, "samples per curve")
     if f.monotone != INCREASING:
         raise NonMonotoneError(
             f"strip geometry needs a strictly increasing integrand, got {f.label!r}"

@@ -50,6 +50,25 @@ def validate_horizon(t: float) -> float:
     return t
 
 
+def validate_count(value, least: int, what: str) -> int:
+    """The count ``value`` as an int: refused below ``least`` or if it is not whole."""
+    if value < least:
+        raise DomainError(f"{what} must be >= {least}, got {value}")
+    if value == math.inf or value % 1:  # numpy warns on inf's remainder; NaN's is NaN
+        raise DomainError(f"{what} must be a whole number, got {value}")
+    return int(value)
+
+
+def _inside(values, upper: float, name: str) -> np.ndarray:
+    """``values`` as a float array, refused unless each element is in [0, upper] +- 1e-12 * upper."""
+    arr = np.asarray(values, dtype=float)
+    slack = 1e-12 * upper
+    # written as "every element inside", so that NaN, inside no interval, fails it
+    if not ((arr >= -slack).all() and (arr <= upper + slack).all()):
+        raise DomainError(f"{name} outside [0, {upper:g}]")
+    return arr
+
+
 class TransformPair:
     """Immutable forward/inverse transform bound to a fixed (alpha, t)."""
 
@@ -69,12 +88,7 @@ class TransformPair:
 
     def forward(self, tau):
         """g(tau) on [0, t]; strictly increasing.  A numpy value shaped like tau."""
-        arr = np.asarray(tau, dtype=float)
-        slack = 1e-12 * self.t
-        # written as "every element inside", so that NaN, inside no interval, fails it
-        if not ((arr >= -slack).all() and (arr <= self.t + slack).all()):
-            raise DomainError(f"tau outside [0, {self.t:g}]")
-        arr = np.clip(arr, 0.0, self.t)
+        arr = np.clip(_inside(tau, self.t, "tau"), 0.0, self.t)
         t, a = self.t, self.alpha
         return (t**a - (t - arr) ** a) / self.gamma_alpha_plus_one
 
@@ -104,10 +118,7 @@ class TransformPair:
         ``out``: given a float array ``out`` of x's shape, h(x) is computed
         there once x passes its range check, and ``out`` is returned.
         """
-        arr = np.asarray(x, dtype=float)
-        slack = 1e-12 * self.width
-        if not ((arr >= -slack).all() and (arr <= self.width + slack).all()):  # NaN fails
-            raise DomainError(f"x outside [0, {self.width:g}]")
+        arr = _inside(x, self.width, "x")
         if out is not None:
             u = np.multiply(self.gamma_alpha_plus_one, arr, out=out)
             np.subtract(self.t**self.alpha, u, out=u)

@@ -154,7 +154,7 @@ class TestTransformCommand:
     def test_too_few_samples_exit_2(self, samples, capsys):
         assert run(["transform", "--alpha", "0.5", "--t", "4", "--samples", samples]) == 2
         assert capsys.readouterr().err == (
-            f"fracint: need at least 2 samples per curve, got {samples}\n"
+            f"fracint: samples per curve must be >= 2, got {samples}\n"
         )
 
 
@@ -409,7 +409,7 @@ class TestRegionsCommand:
     @pytest.mark.parametrize("samples", ("-1", "0", "1"))
     def test_identity_order_with_too_few_samples_exits_2(self, samples, capsys):
         assert run(["regions", "--alpha", "0", "--t", "2", "--samples", samples]) == 2
-        assert "need at least 2 samples per curve" in capsys.readouterr().err
+        assert "samples per curve must be >= 2" in capsys.readouterr().err
 
 
 class TestCurvesCommand:

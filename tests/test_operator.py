@@ -643,7 +643,7 @@ def test_chebyshev_nodes_shape():
     nodes = chebyshev_nodes(9, 2.0)
     assert nodes[0] == 0.0
     assert nodes[-1] == pytest.approx(2.0, rel=1e-15)
-    with pytest.raises(DomainError, match="need at least 2 nodes"):
+    with pytest.raises(DomainError, match="node count must be >= 2"):
         chebyshev_nodes(1, 1.0)
     assert np.all(np.diff(nodes) > 0)
     assert len(nodes) == 9

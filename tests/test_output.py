@@ -186,11 +186,19 @@ def test_a_longer_existing_file_is_replaced(tmp_path):
     assert [path.read_bytes() for path in _files(old, STRIPS)] == expected
 
 
-def test_one_path_for_out_and_svg_keeps_the_svg(tmp_path):
-    both = tmp_path / "both"
-    assert cli.main(STRIPS + ["--out", str(both), "--svg", str(both)]) == 0
-    _, svg = _files(tmp_path, STRIPS)
-    assert both.read_bytes() == svg.read_bytes()
+@pytest.mark.parametrize("existing", (None, b"kept\n"), ids=["new", "existing"])
+@pytest.mark.parametrize("link", (False, True), ids=["same-path", "symlink"])
+@pytest.mark.parametrize("argv", [STRIPS, ["regions", "--samples", "9"]], ids=["strips", "regions"])
+def test_one_file_for_out_and_svg_is_refused(argv, link, existing, tmp_path, capsys):
+    out = tmp_path / "both"
+    svg = tmp_path / "link.svg" if link else out
+    if link:
+        svg.symlink_to(out)
+    if existing is not None:
+        out.write_bytes(existing)
+    assert cli.main(argv + ["--out", str(out), "--svg", str(svg)]) == 2
+    assert capsys.readouterr() == ("", f"fracint: outputs {str(out)!r} and {str(svg)!r} are one file\n")
+    assert out.read_bytes() == (existing or b"")
 
 
 def test_null_device_takes_both_outputs(capsys):

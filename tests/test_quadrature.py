@@ -20,7 +20,7 @@ from fracint.engines import (
 )
 from fracint.errors import BudgetExhaustedError, DomainError, FracintError, NumericalError
 from fracint.integrand import Integrand, evaluate, power_integrand
-from fracint.operator import FractionalOperator, power_oracle
+from fracint.operator import FractionalOperator, chebyshev_nodes, compose, power_oracle
 from fracint.quadrature import (
     _GAUSS_WEIGHTS,
     _KRONROD_NODES,
@@ -31,7 +31,7 @@ from fracint.quadrature import (
     bisect_monotone,
     stieltjes_integral,
 )
-from fracint.strips import build_strips
+from fracint.strips import build_strips, region_family
 from fracint.transforms import make_transform
 
 from _reference import (
@@ -950,26 +950,56 @@ class TestOnePanelApply:
         assert same_bits(got[0], 0.0) and got[2] == PANEL
 
 
+def _geometry(geometry):
+    """A strip geometry's boundaries and outline, stacked as one array."""
+    return np.vstack((*geometry.boundaries, geometry.region_outline))
+
+
+def _numbers(result):
+    return result.value, result.error_estimate, result.evaluations
+
+
+COUNT_PAIR = make_transform(0.5, 2.0)
+# every count input: the name its messages give it, the least it takes, and a call
+# that takes it and returns numbers
+COUNTS = (
+    ("partition size", 1, lambda n: make_partition(COUNT_PAIR, n)),
+    ("partition size", 1, lambda n: _numbers(stieltjes_sum(LINEAR, COUNT_PAIR, n))),
+    ("partition size", 1, lambda n: _numbers(cavalieri_sum(LINEAR, COUNT_PAIR, n))),
+    ("partition size", 1,
+     lambda n: _numbers(FractionalOperator(0.5, "stieltjes", n=n).apply(LINEAR, 2.0))),
+    ("partition size", 1,
+     lambda n: _numbers(FractionalOperator(0.5, "cavalieri", n=n).apply(LINEAR, 2.0))),
+    ("partition size", 1, lambda n: _geometry(build_strips(LINEAR, COUNT_PAIR, n))),
+    ("samples per curve", 2, lambda n: _geometry(build_strips(LINEAR, COUNT_PAIR, 3, n))),
+    ("samples per curve", 2, lambda n: _geometry(region_family(LINEAR, 0.5, 2.0, n)[0])),
+    ("samples per curve", 2, lambda n: _geometry(region_family(LINEAR, 0.0, 2.0, n)[0])),
+    ("node count", 2, lambda n: chebyshev_nodes(n, 2.0)),
+    ("composition grid", 64, lambda n: compose(
+        FractionalOperator(0.3), FractionalOperator(0.4), SQRT, 1.0, grid=n)),
+    ("repetition count", 1, lambda n: _numbers(cauchy_repeated(LINEAR, n, 2.0))),
+)
+
+
+def _at_least(n, least):
+    """n, moved up by ``least`` where it is below it; NaN stays NaN."""
+    return n + least if n < least else n
+
+
 class TestWholeNumberCounts:
-    """A strip or node count that is not a whole number is refused, not truncated."""
+    """Every count that is not a whole number is refused, not truncated.
 
-    PAIR = make_transform(0.5, 2.0)
+    Each test takes every entry of COUNTS; the partition size was the first.
+    """
 
-    @pytest.mark.parametrize("n", (2.5, 0.5 + 1e6, math.nan, math.inf))
+    @pytest.mark.parametrize("n", (2.5, 2.000001, 0.5 + 1e6, math.nan, math.inf))
     def test_a_partition_size_is_a_whole_number(self, n):
-        with pytest.raises(DomainError, match="partition size must be a whole number"):
-            make_partition(self.PAIR, n)
-        for total in (stieltjes_sum, cavalieri_sum):
-            with pytest.raises(DomainError, match="partition size must be a whole number"):
-                total(LINEAR, self.PAIR, n)
-        for route in ("stieltjes", "cavalieri"):
-            with pytest.raises(DomainError, match="partition size must be a whole number"):
-                FractionalOperator(0.5, route, n=n).apply(LINEAR, 2.0)
-        with pytest.raises(DomainError, match="partition size must be a whole number"):
-            build_strips(LINEAR, self.PAIR, n)
+        for what, least, call in COUNTS:
+            with pytest.raises(DomainError, match=f"{what} must be a whole number"):
+                call(_at_least(n, least))
 
-    @pytest.mark.parametrize("n", (1, 2, 7, 1000))
+    @pytest.mark.parametrize("n", (1, 2, 7, 200, 1000))
     def test_an_integral_float_keeps_its_bits(self, n):
-        assert same_bits(make_partition(self.PAIR, float(n)), make_partition(self.PAIR, n))
-        for total in (stieltjes_sum, cavalieri_sum):
-            assert total(LINEAR, self.PAIR, float(n)) == total(LINEAR, self.PAIR, n)
+        for what, least, call in COUNTS:
+            count = _at_least(n, least)
+            assert same_bits(call(float(count)), call(count)), what

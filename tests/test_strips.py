@@ -275,7 +275,7 @@ class TestRegionFamily:
             region_family(LINEAR, [], [2.0])
 
     def test_identity_order_with_too_few_samples_rejected(self):
-        with pytest.raises(DomainError, match="need at least 2 samples per curve"):
+        with pytest.raises(DomainError, match="samples per curve must be >= 2"):
             region_family(SQRT, [0.0], [9.0], samples=1)
 
     def test_right_edges_differ_across_horizons(self):
