@@ -8,6 +8,8 @@ and composition law, and the strip geometry that makes the integral's area
 interpretation computable.
 """
 
+import importlib
+
 from .errors import (
     BudgetExhaustedError,
     DomainError,
@@ -16,21 +18,8 @@ from .errors import (
     NumericalError,
     PoleError,
 )
+# bound here, so that the name is the function and not its submodule
 from .gamma import gamma, recip_gamma
-from .integrand import Integrand, power_integrand
-from .transforms import TransformPair, make_transform
-from .quadrature import CavalieriRegion, adaptive_quadrature, stieltjes_integral
-from .engines import (
-    QuadratureResult,
-    cauchy_repeated,
-    cavalieri_sum,
-    direct_rl,
-    make_partition,
-    stieltjes_sum,
-    transformed_riemann,
-)
-from .operator import FractionalOperator, chebyshev_nodes, compose, power_oracle
-from .strips import StripGeometry, TranslationReport, build_strips, region_family, translate_check
 
 __version__ = "0.1.0"
 
@@ -67,3 +56,34 @@ __all__ = [
     "transformed_riemann",
     "translate_check",
 ]
+
+# each export not bound above, by its home module; every one of them loads numpy
+_LAZY = {
+    "integrand": ("Integrand", "power_integrand"),
+    "transforms": ("TransformPair", "make_transform"),
+    "quadrature": ("CavalieriRegion", "adaptive_quadrature", "stieltjes_integral"),
+    "engines": (
+        "QuadratureResult", "cauchy_repeated", "cavalieri_sum", "direct_rl", "make_partition",
+        "stieltjes_sum", "transformed_riemann",
+    ),
+    "operator": ("FractionalOperator", "chebyshev_nodes", "compose", "power_oracle"),
+    "strips": ("StripGeometry", "TranslationReport", "build_strips", "region_family", "translate_check"),
+}
+_HOMES = {name: home for home, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name):
+    """An export from its home module, imported on first access and then kept here (PEP 562).
+
+    So ``import fracint`` loads no numpy until a name that needs it is used.
+    """
+    try:
+        home = _HOMES[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = globals()[name] = getattr(importlib.import_module(f".{home}", __name__), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -13,7 +13,11 @@ An optional key=value config file seeds the parse of its own call with values
 for the settings flags its subcommand offers; explicit flags always win.  ``strips``
 offers no settings flags: its ``strip_index,area`` rows are the left-endpoint areas
 f(x2_i) * W/n, whose total is the ``stieltjes`` value, not the drawn strips' areas.
+This module imports no numpy: each handler that computes imports what it uses, so
+``--help``, ``gamma`` and an unknown subcommand run without it.
 """
+
+from __future__ import annotations
 
 import argparse
 import copy
@@ -21,20 +25,19 @@ import functools
 import itertools
 import sys
 import time
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .engines import METHODS, ROUTES
+from .defaults import (
+    DEFAULT_ABS_TOL,
+    DEFAULT_BUDGET,
+    DEFAULT_COMPOSE_GRID,
+    DEFAULT_REL_TOL,
+    DEFAULT_SUM_N,
+    METHODS,
+    ROUTES,
+)
 from .errors import DomainError, NumericalError
 from .gamma import gamma as gamma_fn
-from .integrand import Integrand, evaluate, power_integrand
-from .operator import (
-    DEFAULT_COMPOSE_GRID,
-    DEFAULT_SUM_N,
-    FractionalOperator,
-    compose,
-    power_oracle,
-)
 from .output import (
     CSV_NUMBER,
     format_number,
@@ -45,9 +48,10 @@ from .output import (
     write_text,
     write_texts,
 )
-from .quadrature import DEFAULT_ABS_TOL, DEFAULT_BUDGET, DEFAULT_REL_TOL
-from .strips import build_strips, region_family
-from .transforms import make_transform, validate_count
+
+if TYPE_CHECKING:
+    from .integrand import Integrand
+    from .operator import FractionalOperator
 
 DEFAULT_ALPHAS = "0,0.2,0.4,0.6,0.8,1"
 DEFAULT_HORIZONS = "2,4,6,8,10"
@@ -67,6 +71,16 @@ MAX_SUM_N = 10**8
 
 # one CSV row of two numbers
 _PAIR = f"{CSV_NUMBER},{CSV_NUMBER}"
+
+
+def power_integrand(coefficient: float, exponent: float) -> Integrand:
+    """``integrand.power_integrand``, imported on the first call, since its module loads numpy.
+
+    ``parse_integrand`` calls it through this module's name, so it can be rebound here.
+    """
+    from .integrand import power_integrand
+
+    return power_integrand(coefficient, exponent)
 
 
 def parse_integrand(spec: str) -> Integrand:
@@ -127,12 +141,16 @@ def load_config(path: str, command: str) -> dict:
 
 def _operator(alpha: float, method: str, args) -> FractionalOperator:
     """The order-``alpha`` operator, configured by the settings flags the subcommand offers."""
+    from .operator import FractionalOperator
+
     settings = {key: getattr(args, key)
                 for key in ("abs_tol", "rel_tol", "budget", "n") if hasattr(args, key)}
     return FractionalOperator(alpha, route=method, **settings)
 
 
 def _oracle_value(f: Integrand, alpha: float, t: float) -> float:
+    from .operator import power_oracle
+
     coefficient, exponent = f.power
     return power_oracle(exponent, alpha, t, coefficient)
 
@@ -146,12 +164,34 @@ def _check_rows(rows: int, request: str) -> None:
         raise DomainError(f"{request} asks for {rows} rows, more than {MAX_ROWS}")
 
 
+def _computes(handler):
+    """``handler`` run with numpy's overflow warning off.
+
+    An overflow is refused by the check that meets it (_kronrod, QuadratureResult,
+    strips), so numpy's warning would only print before the fracint: line.
+    """
+
+    @functools.wraps(handler)
+    def run(args) -> None:
+        import numpy as np
+
+        with np.errstate(over="ignore"):
+            handler(args)
+
+    return run
+
+
 def cmd_gamma(args) -> None:
     value = gamma_fn(args.x)
     write_text(args.out, f"{value:.15g}\n")
 
 
+@_computes
 def cmd_transform(args) -> None:
+    import numpy as np
+
+    from .transforms import make_transform, validate_count
+
     pair = make_transform(args.alpha, args.t)
     validate_count(args.samples, 2, "samples per curve")
     _check_rows(2 * args.samples, f"--samples {args.samples}")
@@ -162,6 +202,7 @@ def cmd_transform(args) -> None:
     write_text(args.out, join_blocks(g_block, h_block))
 
 
+@_computes
 def cmd_compute(args) -> None:
     records = []
     for alpha in args.alpha:
@@ -180,7 +221,10 @@ def cmd_compute(args) -> None:
     write_text(args.out, join_blocks([header, format_rows(row, zip(*records))]))
 
 
+@_computes
 def cmd_compare(args) -> None:
+    import numpy as np
+
     if not (np.isfinite(args.tolerance) and args.tolerance >= 0.0):
         raise DomainError(f"tolerance must be finite and >= 0, got {args.tolerance!r}")
     results = {}
@@ -211,6 +255,8 @@ def cmd_compare(args) -> None:
 
 
 def _strips_csv(geometry) -> str:
+    import numpy as np
+
     boundary_block = ["boundary_index,y,x"] + [
         format_rows(f"{index},{_PAIR}", (polyline[:, 1], polyline[:, 0]))
         for index, polyline in enumerate(geometry.boundaries)
@@ -230,7 +276,11 @@ def _strips_svg(geometry) -> str:
     return svg_document(curves)
 
 
+@_computes
 def cmd_strips(args) -> None:
+    from .strips import build_strips
+    from .transforms import make_transform
+
     pair = make_transform(args.alpha, args.t)
     _check_rows((args.n_strips + 1) * args.samples,
                 f"--n-strips {args.n_strips} with --samples {args.samples}")
@@ -239,7 +289,10 @@ def cmd_strips(args) -> None:
     write_texts((args.out, _strips_csv(geometry)), *svg)
 
 
+@_computes
 def cmd_regions(args) -> None:
+    from .strips import region_family
+
     regions = len(args.alpha) * len(args.t)
     _check_rows(2 * regions * args.samples, f"{regions} regions at --samples {args.samples}")
     family = region_family(args.f, args.alpha, args.t, args.samples)
@@ -273,11 +326,16 @@ def _curve_value(op: FractionalOperator, f: Integrand, t: float) -> float:
     if t < 0:
         raise DomainError(f"curve horizon must be >= 0, got {t:g}")
     if t == 0.0:
+        from .integrand import evaluate
+
         return float(evaluate(f, 0.0)) if op.alpha == 0.0 else 0.0
     return op.apply(f, t).value
 
 
+@_computes
 def cmd_curves(args) -> None:
+    import numpy as np
+
     if not np.isfinite([args.t_start, args.t_stop, args.t_step]).all():
         raise DomainError("t-start, t-stop and t-step must be finite")
     if args.t_step <= 0 or args.t_stop < args.t_start:
@@ -304,7 +362,10 @@ def cmd_curves(args) -> None:
     write_text(args.out, join_blocks(curve_block, marker_block))
 
 
+@_computes
 def cmd_semigroup(args) -> None:
+    from .operator import compose
+
     outer = _operator(args.alpha, args.method, args)
     inner = _operator(args.beta, args.method, args)
     composed = compose(outer, inner, args.f, args.t, args.grid)
@@ -413,10 +474,7 @@ def main(argv=None) -> int:
             rest = argv[argv.index(args.command) + 1:]
             config = load_config(args.config, args.command)
             args = args.parser.parse_args(rest, argparse.Namespace(**config))
-        # an overflow is refused by the check that meets it (_kronrod, QuadratureResult,
-        # strips), so numpy's warning would only print before the fracint: line
-        with np.errstate(over="ignore"):
-            args.handler(args)
+        args.handler(args)
     except DomainError as exc:
         print(f"fracint: {exc}", file=sys.stderr)
         return 2

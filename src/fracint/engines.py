@@ -22,18 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .defaults import DEFAULT_ABS_TOL, DEFAULT_BUDGET, DEFAULT_REL_TOL, METHODS
 from .errors import DomainError, NumericalError
 from .integrand import Integrand, evaluate
-from .quadrature import (
-    DEFAULT_ABS_TOL,
-    DEFAULT_BUDGET,
-    DEFAULT_REL_TOL,
-    adaptive_quadrature,
-)
+from .quadrature import adaptive_quadrature
 from .transforms import TransformPair, make_transform, validate_count, validate_horizon
 
-ROUTES = ("direct", "stieltjes", "cavalieri", "transformed")  # the numeric routes
-METHODS = ROUTES + ("oracle",)
 # strips whose heights a sum evaluates at once: 64 KiB of doubles, which stay in L2
 # and below glibc's default 128 KiB mmap threshold, so they reuse freed heap pages
 _BLOCK = 8192

@@ -10,12 +10,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .defaults import (
+    DEFAULT_ABS_TOL,
+    DEFAULT_BUDGET,
+    DEFAULT_COMPOSE_GRID,
+    DEFAULT_REL_TOL,
+    DEFAULT_SUM_N,
+    METHODS,
+)
 from .errors import DomainError, NumericalError
 from .gamma import gamma
 from .integrand import UNKNOWN, Integrand, evaluate
-from .quadrature import DEFAULT_ABS_TOL, DEFAULT_BUDGET, DEFAULT_REL_TOL, check_adaptive_settings
+from .quadrature import check_adaptive_settings
 from .engines import (
-    METHODS,
     QuadratureResult,
     cavalieri_sum,
     direct_rl,
@@ -24,8 +31,6 @@ from .engines import (
 )
 from .transforms import make_transform, validate_count, validate_horizon, validate_order
 
-DEFAULT_SUM_N = 100_000
-DEFAULT_COMPOSE_GRID = 256
 _LOG_MAX = math.log(sys.float_info.max)  # the largest x whose exp is finite
 
 

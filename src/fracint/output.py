@@ -4,7 +4,8 @@ All numeric CSV fields use fixed 12-significant-digit scientific notation
 (``CSV_NUMBER``), SVG coordinates two decimals (``SVG_NUMBER``), and files end
 with a single trailing newline, so identical configurations produce
 byte-identical output.  ``format_rows`` formats a block of numeric rows with
-one ``%`` operation.
+one ``%`` operation.  Only ``format_rows`` and ``svg_document`` import numpy, so
+text that needs neither is written without it.
 """
 
 import json
@@ -12,8 +13,6 @@ import os
 import stat
 import sys
 from contextlib import ExitStack
-
-import numpy as np
 
 from .errors import DomainError
 
@@ -38,6 +37,8 @@ def format_rows(row: str, columns, sep: str = "\n") -> str:
     once, and the whole block is formatted by a single ``%`` operation.  No
     rows give "", which ``join_blocks`` leaves out.
     """
+    import numpy as np
+
     lists = [np.asarray(column).tolist() for column in columns]
     rows, width = len(lists[0]), len(lists)
     values = [None] * (rows * width)
@@ -55,6 +56,10 @@ def join_blocks(*blocks) -> str:
     return "\n\n".join("\n".join(filter(None, block)) for block in blocks) + "\n"
 
 
+def _named(path) -> str:
+    return "stdout" if path is None else repr(path)
+
+
 def _unwritable(path, exc: OSError) -> DomainError:
     return DomainError(f"cannot write {path!r}: {exc.strerror or exc}")
 
@@ -63,10 +68,11 @@ def write_texts(*outputs) -> None:
     """Write each (path, text) pair to its file, or to stdout where path is None.
 
     Every file is opened before the first write, so a path that cannot be written
-    writes nothing; it is an input error, and so are two outputs in one regular file.
+    writes nothing; it is an input error, and so are two outputs in one regular file,
+    stdout included when a text goes there.
     """
     with ExitStack() as stack:
-        handles, files = [], {}
+        handles = []
         for path, _ in outputs:
             try:
                 # not "w": ext4 flushes a file truncated to 0 on close, so only a
@@ -75,12 +81,19 @@ def write_texts(*outputs) -> None:
             except OSError as exc:
                 raise _unwritable(path, exc) from None
             handles.append(handle)
-            info = handle and os.fstat(handle.fileno())
-            # one regular file given twice would keep only the last text; a device may repeat
-            if info and stat.S_ISREG(info.st_mode):
-                first = files.setdefault((info.st_dev, info.st_ino), handle)
-                if first is not handle:
-                    raise DomainError(f"outputs {first.name!r} and {path!r} are one file")
+        # one regular file given twice would keep only the last text, and the shell may
+        # have opened a file for stdout; a device may repeat
+        files = {}
+        for handle, (path, _) in zip(handles, outputs):
+            stream = sys.stdout if handle is None else handle
+            try:
+                info = os.fstat(stream.fileno())
+            except (AttributeError, OSError, ValueError):  # a stdout without a descriptor
+                continue
+            if stat.S_ISREG(info.st_mode):
+                first, first_path = files.setdefault((info.st_dev, info.st_ino), (stream, path))
+                if first is not stream:
+                    raise DomainError(f"outputs {_named(first_path)} and {_named(path)} are one file")
         for handle, (path, text) in zip(handles, outputs):
             if handle is None:
                 sys.stdout.write(text)
@@ -115,6 +128,8 @@ def svg_document(curves) -> str:
     ``curves`` is a sequence of dicts with keys ``points`` ((m, 2) array),
     ``dashed`` (bool), and ``shade`` (0 darkest .. 1 lightest).
     """
+    import numpy as np
+
     pts = np.vstack([np.asarray(c["points"], dtype=float) for c in curves if len(c["points"])])
     x_lo, y_lo = pts.min(axis=0)
     x_hi, y_hi = pts.max(axis=0)

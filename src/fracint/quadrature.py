@@ -16,12 +16,9 @@ from typing import Callable
 
 import numpy as np
 
+from .defaults import DEFAULT_ABS_TOL, DEFAULT_BUDGET, DEFAULT_REL_TOL
 from .errors import BudgetExhaustedError, DomainError, NumericalError
 from .integrand import evaluate
-
-DEFAULT_ABS_TOL = 1e-10
-DEFAULT_REL_TOL = 1e-10
-DEFAULT_BUDGET = 10_000
 
 BISECTION_ITERATIONS = 100
 

@@ -593,8 +593,8 @@ class TestRowCap:
         def refuse(*args, **kwargs):
             raise AssertionError("geometry built")
 
-        monkeypatch.setattr(cli, "build_strips", refuse)
-        monkeypatch.setattr(cli, "region_family", refuse)
+        monkeypatch.setattr("fracint.strips.build_strips", refuse)
+        monkeypatch.setattr("fracint.strips.region_family", refuse)
         assert run(argv) == 2
         assert capsys.readouterr().err == f"fracint: {refusal}, more than {cli.MAX_ROWS}\n"
 
@@ -633,7 +633,7 @@ class TestSumCap:
         def refuse(*args, **kwargs):
             raise AssertionError("operator built")
 
-        monkeypatch.setattr(cli, "FractionalOperator", refuse)
+        monkeypatch.setattr("fracint.operator.FractionalOperator", refuse)
         assert run(argv) == 2
         assert capsys.readouterr() == ("", self.REFUSAL)
 
@@ -662,7 +662,7 @@ class TestSumCap:
             def apply(self, f, t):
                 raise error
 
-        monkeypatch.setattr(cli, "FractionalOperator", Exhausted)
+        monkeypatch.setattr("fracint.operator.FractionalOperator", Exhausted)
         assert run(self.CASES[0][:-2]) == 3
         assert capsys.readouterr() == ("", line)
 

@@ -6,6 +6,9 @@ parsed arguments through the copy, and compares every file byte for byte.
 """
 
 import itertools
+import os
+import subprocess
+import sys
 import types
 
 import numpy as np
@@ -199,6 +202,37 @@ def test_one_file_for_out_and_svg_is_refused(argv, link, existing, tmp_path, cap
     assert cli.main(argv + ["--out", str(out), "--svg", str(svg)]) == 2
     assert capsys.readouterr() == ("", f"fracint: outputs {str(out)!r} and {str(svg)!r} are one file\n")
     assert out.read_bytes() == (existing or b"")
+
+
+@pytest.mark.parametrize("argv", [STRIPS, ["regions", "--samples", "9"]], ids=["strips", "regions"])
+def test_stdout_that_is_the_svg_file_is_refused(argv, tmp_path):
+    # the shell opens the file for stdout, so only the descriptor of stdout tells that it is
+    # the --svg file; a StringIO stdout has none, so this runs the console script in a child
+    src = os.path.dirname(os.path.dirname(output.__file__))
+
+    def fracint(stdout):
+        return subprocess.run(
+            [sys.executable, "-c", "import sys; from fracint.cli import main; sys.exit(main())",
+             *argv, "--svg", str(svg)],
+            stdout=stdout, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src),
+            text=True, timeout=120,
+        )
+
+    svg = tmp_path / "both"
+    svg.write_bytes(b"kept\n")
+    with open(svg, "a") as stdout:  # as the shell opens it for >>
+        refused = fracint(stdout)
+    assert (refused.returncode, refused.stderr) == (2, f"fracint: outputs stdout and {str(svg)!r} are one file\n")
+    assert svg.read_bytes() == b"kept\n"
+    # another regular file, a pipe and the null device take stdout as before
+    other = tmp_path / "other"
+    with open(other, "w") as stdout:
+        assert fracint(stdout).returncode == 0
+    piped = fracint(subprocess.PIPE)
+    assert (piped.returncode, piped.stdout) == (0, other.read_text())
+    with open(os.devnull, "w") as stdout:
+        assert fracint(stdout).returncode == 0
+    assert svg.read_text().startswith("<svg")
 
 
 def test_null_device_takes_both_outputs(capsys):

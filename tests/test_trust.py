@@ -23,7 +23,7 @@ from collections import Counter
 import pytest
 
 from fracint import FractionalOperator, power_integrand
-from fracint.engines import ROUTES
+from fracint.defaults import ROUTES
 from fracint.errors import FracintError
 from fracint.operator import power_oracle
 
