@@ -255,15 +255,13 @@ def cmd_compare(args) -> None:
 
 
 def _strips_csv(geometry) -> str:
-    import numpy as np
-
     boundary_block = ["boundary_index,y,x"] + [
         format_rows(f"{index},{_PAIR}", (polyline[:, 1], polyline[:, 0]))
         for index, polyline in enumerate(geometry.boundaries)
     ]
     areas = geometry.strip_areas
     area_block = [
-        "strip_index,area", format_rows(f"%d,{CSV_NUMBER}", (np.arange(len(areas)), areas)),
+        "strip_index,area", format_rows(f"%d,{CSV_NUMBER}", (range(len(areas)), areas)),
     ]
     return join_blocks(boundary_block, area_block)
 
