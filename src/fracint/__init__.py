@@ -73,16 +73,18 @@ _HOMES = {name: home for home, names in _LAZY.items() for name in names}
 
 
 def __getattr__(name):
-    """An export from its home module, imported on first access and then kept here (PEP 562).
+    """An export, read from its home module on every access (PEP 562).
 
-    So ``import fracint`` loads no numpy until a name that needs it is used.
+    The first access imports the home module, so ``import fracint`` loads no numpy
+    until a name that needs it is used.  Nothing is kept here: a name rebound in its
+    home module reads the same through the package, and so does the original once it
+    is put back.
     """
     try:
         home = _HOMES[name]
     except KeyError:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    value = globals()[name] = getattr(importlib.import_module(f".{home}", __name__), name)
-    return value
+    return getattr(importlib.import_module(f".{home}", __name__), name)
 
 
 def __dir__():

@@ -23,6 +23,7 @@ import argparse
 import copy
 import functools
 import itertools
+import math
 import sys
 import time
 from typing import TYPE_CHECKING
@@ -223,9 +224,7 @@ def cmd_compute(args) -> None:
 
 @_computes
 def cmd_compare(args) -> None:
-    import numpy as np
-
-    if not (np.isfinite(args.tolerance) and args.tolerance >= 0.0):
+    if not (math.isfinite(args.tolerance) and args.tolerance >= 0.0):
         raise DomainError(f"tolerance must be finite and >= 0, got {args.tolerance!r}")
     results = {}
     all_consistent = True
@@ -332,13 +331,11 @@ def _curve_value(op: FractionalOperator, f: Integrand, t: float) -> float:
 
 @_computes
 def cmd_curves(args) -> None:
-    import numpy as np
-
-    if not np.isfinite([args.t_start, args.t_stop, args.t_step]).all():
+    if not all(map(math.isfinite, (args.t_start, args.t_stop, args.t_step))):
         raise DomainError("t-start, t-stop and t-step must be finite")
     if args.t_step <= 0 or args.t_stop < args.t_start:
         raise DomainError("need t-step > 0 and t-stop >= t-start")
-    steps = np.floor((args.t_stop - args.t_start) / args.t_step + 1e-9)  # inf if it overflows
+    steps = (args.t_stop - args.t_start) / args.t_step + 1e-9  # inf if it overflows
     if not steps < MAX_CURVE_HORIZONS:  # checked before the horizon list is built
         raise DomainError(
             f"t-step {args.t_step:g} over [{args.t_start:g}, {args.t_stop:g}] needs more "

@@ -1,7 +1,7 @@
 """Start-up without numpy: the package's lazy exports and the command line's numpy-free front.
 
-``import fracint`` binds the errors and ``gamma`` only; every other export loads
-its home module, and numpy, on first access.  ``fracint --help``, each
+``import fracint`` binds the errors and ``gamma`` only; every other export is
+read from its home module, which loads numpy on the first access.  ``fracint --help``, each
 subcommand's help, ``gamma`` and a usage error run without importing numpy, and
 print what a process that has numpy loaded prints.
 """
@@ -32,9 +32,9 @@ CONSOLE = (
 )
 
 
-def python(code, *args):
+def python(code, *args, path=SRC):
     completed = subprocess.run(
-        [sys.executable, "-c", code, *args], env=dict(os.environ, PYTHONPATH=SRC),
+        [sys.executable, "-c", code, *args], env=dict(os.environ, PYTHONPATH=path),
         capture_output=True, text=True, timeout=120,
     )
     assert completed.returncode == 0, completed.stderr
@@ -67,8 +67,37 @@ class TestLazyExports:
         for name in fracint.__all__:
             value = getattr(fracint, name)
             assert getattr(sys.modules[value.__module__], name) is value, name
-            assert vars(fracint)[name] is value, name  # kept after the first access
+            # the errors and gamma are bound on import; every other export is read through
+            assert (name in vars(fracint)) == (name not in fracint._HOMES), name
         assert fracint.compose is sys.modules["fracint.operator"].compose
+
+    def test_a_name_rebound_in_its_home_module_reads_the_same_through_the_package(self, monkeypatch):
+        # what a tracer does: it wraps a function in its home module and later puts it back
+        transforms = sys.modules["fracint.transforms"]
+        original = transforms.make_transform
+
+        def wrapped(*args):
+            return original(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(transforms, "make_transform", wrapped)
+            assert fracint.make_transform is wrapped
+        assert fracint.make_transform is original
+
+    def test_the_benchmark_tracer_leaves_no_wrapper_behind(self):
+        # an export first read while the tracer is installed is its wrapper, and after
+        # uninstall the original again
+        code = (
+            "import fracint\n"
+            "from bench.tracing import Tracer\n"
+            "tracer = Tracer()\n"
+            "tracer.install()\n"
+            "traced = fracint.make_transform\n"
+            "tracer.uninstall()\n"
+            "now = fracint.make_transform\n"
+            "print(traced is now, now is fracint.transforms.make_transform)\n"
+        )
+        assert python(code, path=os.pathsep.join((SRC, os.path.dirname(SRC)))) == "False True\n"
 
     @pytest.mark.parametrize("imports", (
         "import fracint; import fracint.transforms; import fracint.gamma",
